@@ -373,16 +373,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     _emit(args, payload, "\n".join(lines))
     if result.violations:
         detail = result.failures[0] if result.failures else {}
-        Path(ANOMALY_FILE).write_text(
-            json.dumps(
-                {"error": f"{result.name}: {result.violations} violations", **detail},
-                indent=2,
-                sort_keys=True,
-            ),
-            encoding="utf-8",
+        path = _write_anomaly(
+            {"error": f"{result.name}: {result.violations} violations", **detail}
         )
         print(
-            f"anomaly: {result.violations} violations (first saved to {ANOMALY_FILE})",
+            f"anomaly: {result.violations} violations (first saved to {path})",
             file=sys.stderr,
         )
         return 3
@@ -414,7 +409,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "sizes": [h.n for h in obj.factors],
         "total_vertices": obj.total_vertices,
         "outer": _classification_json(obj.outer),
-        "semicomplete_composition": profile.is_semicomplete_composition,
+        "semicomplete_composition": profile.outer_semicomplete,
         "strong_semicomplete_composition": profile.is_strong_semicomplete_composition,
         "flat_arc_count": flat.arc_count,
         "arc_formula_ok": flat.arc_count == expected,
@@ -422,7 +417,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     text = "\n".join(
         [
             f"valid composition: {obj.t} factors, {obj.total_vertices} vertices",
-            f"semicomplete composition: {profile.is_semicomplete_composition}",
+            f"semicomplete composition: {profile.outer_semicomplete}",
             f"strong semicomplete composition: {profile.is_strong_semicomplete_composition}",
             f"flattened arcs: {flat.arc_count}",
         ]
@@ -519,19 +514,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_anomaly(exc: TheoremViolation) -> str:
-    instance = getattr(exc, "instance", None)
-    if isinstance(instance, Composition):
-        body: Any = composition_to_json(instance)
-    elif isinstance(instance, Digraph):
-        body = digraph_to_json(instance)
-    else:
-        body = None if instance is None else repr(instance)
+def _write_anomaly(report: dict[str, Any]) -> str:
+    """Save a failure report to ANOMALY_FILE and return its path."""
     Path(ANOMALY_FILE).write_text(
-        json.dumps({"error": str(exc), "instance": body}, indent=2, sort_keys=True),
-        encoding="utf-8",
+        json.dumps(report, indent=2, sort_keys=True), encoding="utf-8"
     )
     return ANOMALY_FILE
+
+
+def _instance_json(instance: Any) -> Any:
+    if isinstance(instance, Composition):
+        return composition_to_json(instance)
+    if isinstance(instance, Digraph):
+        return digraph_to_json(instance)
+    return None if instance is None else repr(instance)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -549,7 +545,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TheoremViolation as exc:
-        path = _write_anomaly(exc)
+        report = {"error": str(exc), "instance": _instance_json(exc.instance)}
+        path = _write_anomaly(report)
         print(f"anomaly: {exc} (instance saved to {path})", file=sys.stderr)
         return 3
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
-from .digraph import Digraph, build_digraph, classify_digraph, is_strong
+from .digraph import Digraph, build_digraph, classify_digraph
 from .errors import PreconditionError
 
 
@@ -82,10 +82,6 @@ class CompositionProfile:
     outer_sinks: frozenset[int]
 
     @property
-    def is_semicomplete_composition(self) -> bool:
-        return self.outer_semicomplete
-
-    @property
     def is_strong_semicomplete_composition(self) -> bool:
         return self.outer_semicomplete and self.outer_strong
 
@@ -107,7 +103,6 @@ def compose(outer: Digraph, factors: tuple[Digraph, ...] | list[Digraph]) -> Com
     return Composition(outer=outer, factors=factors)
 
 
-@lru_cache(maxsize=1024)
 def flatten(c: Composition) -> Digraph:
     """The composed digraph on sum(|V(H_i)|) vertices, factor blocks laid out
     in order: internal arcs shifted by the factor offset, plus a complete
@@ -156,7 +151,6 @@ def extension(outer: Digraph, sizes: tuple[int, ...] | list[int]) -> Composition
     return compose(outer, factors)
 
 
-# is_strong re-exported for callers that only need the outer check.
 __all__ = [
     "Composition",
     "CompositionProfile",
@@ -165,7 +159,6 @@ __all__ = [
     "composition_profile",
     "extension",
     "flatten",
-    "is_strong",
     "require_semicomplete_composition",
     "require_strong_semicomplete_composition",
 ]

@@ -91,60 +91,43 @@ def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     )
 
 
-def distances_from(d: Digraph, source: int) -> list[Dist]:
-    """BFS out-distances from source; UNREACHABLE where no path exists."""
-    if not 0 <= source < d.n:
-        raise PreconditionError(f"source {source} out of range for n={d.n}")
-    dist: list[Dist] = [UNREACHABLE] * d.n
-    dist[source] = 0
-    queue = deque([source])
+def _bfs(adj: tuple[frozenset[int], ...], sources: Iterable[int]) -> list[Dist]:
+    """Multi-source BFS along adj (a digraph's out_adj or in_adj): entry v
+    holds the fewest adj-steps from the source set to v, 0 on the sources."""
+    n = len(adj)
+    dist: list[Dist] = [UNREACHABLE] * n
+    queue: deque[int] = deque()
+    for s in sources:
+        if not 0 <= s < n:
+            raise PreconditionError(f"vertex {s} out of range for n={n}")
+        if dist[s] is UNREACHABLE:
+            dist[s] = 0
+            queue.append(s)
     while queue:
         u = queue.popleft()
         du = dist[u] + 1
-        for v in d.out_adj[u]:
+        for v in adj[u]:
             if dist[v] is UNREACHABLE:
                 dist[v] = du
                 queue.append(v)
     return dist
+
+
+def distances_from(d: Digraph, source: int) -> list[Dist]:
+    """BFS out-distances from source; UNREACHABLE where no path exists."""
+    return _bfs(d.out_adj, (source,))
 
 
 def distances_to(d: Digraph, target: int) -> list[Dist]:
     """BFS over in-arcs: entry u holds the length of a shortest u -> target
     path. Equivalent to distances_from in the converse digraph."""
-    if not 0 <= target < d.n:
-        raise PreconditionError(f"target {target} out of range for n={d.n}")
-    dist: list[Dist] = [UNREACHABLE] * d.n
-    dist[target] = 0
-    queue = deque([target])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in d.in_adj[u]:
-            if dist[v] is UNREACHABLE:
-                dist[v] = du
-                queue.append(v)
-    return dist
+    return _bfs(d.in_adj, (target,))
 
 
 def distances_to_set(d: Digraph, targets: Iterable[int]) -> list[Dist]:
     """Multi-source variant of distances_to: shortest distance from each
     vertex into the target set (0 on the set itself)."""
-    dist: list[Dist] = [UNREACHABLE] * d.n
-    queue: deque[int] = deque()
-    for t in targets:
-        if not 0 <= t < d.n:
-            raise PreconditionError(f"target {t} out of range for n={d.n}")
-        if dist[t] is UNREACHABLE:
-            dist[t] = 0
-            queue.append(t)
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in d.in_adj[u]:
-            if dist[v] is UNREACHABLE:
-                dist[v] = du
-                queue.append(v)
-    return dist
+    return _bfs(d.in_adj, targets)
 
 
 def out_eccentricities(d: Digraph) -> list[Dist]:
@@ -278,8 +261,6 @@ def min_cycle_length_through(d: Digraph, v: int) -> Dist:
     One backward BFS to v gives d(w, v) for every out-neighbour w, and a
     shortest cycle is an arc v -> w extended by a shortest w -> v path.
     """
-    if not 0 <= v < d.n:
-        raise PreconditionError(f"vertex {v} out of range for n={d.n}")
     back = distances_to(d, v)
     best: Dist = UNREACHABLE
     for w in d.out_adj[v]:

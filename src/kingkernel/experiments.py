@@ -6,6 +6,14 @@ violation count means a guaranteed property failed on a concrete instance,
 which is the strongest bug signal this package can produce; the first few
 offending instances are kept in the result for reproduction.
 
+Every runner is an `Experiment`: a body decorated with `_experiment(name,
+default_instances)`. The harness owns the shared plumbing. It builds the
+empty `ExperimentResult` under the experiment's name, substitutes the
+default instance count when `instances` is None, and times the whole body
+into `elapsed_s`. The body only generates instances, counts checks and
+records failures. `EXPERIMENTS` maps each name to its runner, in the order
+the acceptance gate runs them.
+
 Checks are dual-route on purpose: the operation under test is compared
 against a direct recomputation on the flattened digraph (eccentricities,
 fresh BFS runs, subset enumeration), never against itself.
@@ -99,6 +107,38 @@ class ExperimentResult:
         }
 
 
+Body = Callable[[ExperimentResult, int, int, int | None], None]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A named corpus runner with the common call signature (seed,
+    instances, max_n); `body` fills in the result that the call builds and
+    times."""
+
+    name: str
+    default_instances: int
+    body: Body
+
+    def __call__(
+        self,
+        seed: int = DEFAULT_SEED,
+        instances: int | None = None,
+        max_n: int | None = None,
+    ) -> ExperimentResult:
+        res = ExperimentResult(self.name, 0, 0, 0)
+        start = time.perf_counter()
+        if instances is None:
+            instances = self.default_instances
+        self.body(res, seed, instances, max_n)
+        res.elapsed_s = time.perf_counter() - start
+        return res
+
+
+def _experiment(name: str, default_instances: int) -> Callable[[Body], Experiment]:
+    return lambda body: Experiment(name, default_instances, body)
+
+
 def path_like_tournament(n: int) -> Digraph:
     """Strong tournament with arcs i -> i+1 and j -> i for j >= i+2. Vertex 0
     reaches vertex j only along the forward path, so d(0, j) = j and the
@@ -156,15 +196,13 @@ _MIXED_KINDS = (Kind.TOURNAMENT, Kind.SEMICOMPLETE, Kind.ERDOS_RENYI)
 _SEMI_KINDS = (Kind.TOURNAMENT, Kind.SEMICOMPLETE)
 
 
+@_experiment("king-characterization", 2000)
 def king_characterization(
-    seed: int = DEFAULT_SEED, instances: int | None = None, max_n: int | None = None
-) -> ExperimentResult:
+    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+) -> None:
     """Composition-level k-king decisions versus brute-force kings of the
     flattened digraph, for k in 2..6, on mixed outer kinds."""
-    instances = 2000 if instances is None else instances
     max_total = 12 if max_n is None else max_n
-    res = ExperimentResult("king-characterization", 0, 0, 0)
-    start = time.perf_counter()
     for idx in range(instances):
         c = _corpus_composition(seed, idx, _MIXED_KINDS, max_total=max_total)
         res.instances += 1
@@ -184,20 +222,16 @@ def king_characterization(
             res.checks += 1
             if composition_all_k_kings(c, k) != all(e <= k for e in eccs):
                 res.record(f"all-vertices mismatch at k={k}", c)
-    res.elapsed_s = time.perf_counter() - start
-    return res
 
 
+@_experiment("three-king-count", 2000)
 def three_king_count(
-    seed: int = DEFAULT_SEED, instances: int | None = None, max_n: int | None = None
-) -> ExperimentResult:
+    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+) -> None:
     """Strong semicomplete compositions: at least two 3-kings, and the
     factor classification matches the brute-force 3-king set vertex by
     vertex."""
-    instances = 2000 if instances is None else instances
     max_total = 12 if max_n is None else max_n
-    res = ExperimentResult("three-king-count", 0, 0, 0)
-    start = time.perf_counter()
     strong = frozenset({Constraint.STRONG_OUTER})
     for idx in range(instances):
         c = _corpus_composition(
@@ -213,19 +247,15 @@ def three_king_count(
             res.record("classification disagrees with brute-force 3-kings", c)
         if len(direct) < 2:
             res.record(f"only {len(direct)} 3-kings in a strong composition", c)
-    res.elapsed_s = time.perf_counter() - start
-    return res
 
 
+@_experiment("nonking-witness", 400)
 def nonking_witness(
-    seed: int = DEFAULT_SEED, instances: int | None = None, max_n: int | None = None
-) -> ExperimentResult:
+    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+) -> None:
     """Every non-king of a strong semicomplete composition is dominated by a
     3-king at distance more than 3. Half the corpus uses path-like outer
     tournaments, which are guaranteed to produce non-kings."""
-    instances = 400 if instances is None else instances
-    res = ExperimentResult("nonking-witness", 0, 0, 0)
-    start = time.perf_counter()
     with_non_kings = 0
     for idx in range(instances):
         if idx % 2 == 0:
@@ -265,8 +295,6 @@ def nonking_witness(
             elif distances_from(q, u)[v] <= 3:
                 res.record(f"witness {v} is within distance 3 of {u}", c)
     res.info["instances_with_non_kings"] = with_non_kings
-    res.elapsed_s = time.perf_counter() - start
-    return res
 
 
 def _establishable_outers(seed: int, needed: int) -> tuple[list[Digraph], dict[str, Any]]:
@@ -290,7 +318,12 @@ def _establishable_outers(seed: int, needed: int) -> tuple[list[Digraph], dict[s
                 for v, e in enumerate(eccs)
             ):
                 continue
-            assert can_establish(d).ok
+            if not can_establish(d).ok:
+                raise TheoremViolation(
+                    "tournament passed the eccentricity prefilter but "
+                    "can_establish rejects it",
+                    instance=d,
+                )
             exhaustive_ok += 1
             if smallest is None:
                 smallest = n
@@ -309,7 +342,8 @@ def _establishable_outers(seed: int, needed: int) -> tuple[list[Digraph], dict[s
             constraints=frozenset({Constraint.STRONG_OUTER}),
         )
         d = generate(spec)
-        assert isinstance(d, Digraph)
+        if not isinstance(d, Digraph):
+            raise GenerationError(f"expected a digraph from {spec}")
         if can_establish(d).ok:
             found.append(d)
         attempt += 1
@@ -319,15 +353,13 @@ def _establishable_outers(seed: int, needed: int) -> tuple[list[Digraph], dict[s
     return found, info
 
 
+@_experiment("establishment", 50)
 def establishment(
-    seed: int = DEFAULT_SEED, instances: int | None = None, max_n: int | None = None
-) -> ExperimentResult:
+    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+) -> None:
     """The establishment construction yields an extension whose 3-king set is
     exactly the original vertex set, re-verified here by direct
     eccentricities."""
-    instances = 50 if instances is None else instances
-    res = ExperimentResult("establishment", 0, 0, 0)
-    start = time.perf_counter()
     outers, info = _establishable_outers(seed, instances)
     res.info.update(info)
     for idx in range(min(instances, len(outers))):
@@ -351,19 +383,15 @@ def establishment(
         kings3 = frozenset(v for v, e in enumerate(eccs) if e <= 3)
         if kings3 != frozenset(range(c.total_vertices)):
             res.record("re-verification of the extension's 3-king set failed", c)
-    res.elapsed_s = time.perf_counter() - start
-    return res
 
 
+@_experiment("four-king-bound", 2000)
 def four_king_bound(
-    seed: int = DEFAULT_SEED, instances: int | None = None, max_n: int | None = None
-) -> ExperimentResult:
+    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+) -> None:
     """At least five 4-kings in every strong semicomplete composition on six
     or more vertices; the no-3-king clause is tracked as a conditional."""
-    instances = 2000 if instances is None else instances
     max_total = 12 if max_n is None else max_n
-    res = ExperimentResult("four-king-bound", 0, 0, 0)
-    start = time.perf_counter()
     no_three_king_instances = 0
     for idx in range(instances):
         c = _corpus_composition(
@@ -387,19 +415,15 @@ def four_king_bound(
                 c,
             )
     res.info["no_three_king_instances"] = no_three_king_instances
-    res.elapsed_s = time.perf_counter() - start
-    return res
 
 
+@_experiment("quasi-kernel", 5000)
 def quasi_kernel_validation(
-    seed: int = DEFAULT_SEED, instances: int | None = None, max_n: int | None = None
-) -> ExperimentResult:
+    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+) -> None:
     """The constructed quasi-kernel validates on random digraphs across a
     spread of densities."""
-    instances = 5000 if instances is None else instances
     top = 14 if max_n is None else max_n
-    res = ExperimentResult("quasi-kernel", 0, 0, 0)
-    start = time.perf_counter()
     densities = (0.1, 0.3, 0.5, 0.8)
     for idx in range(instances):
         meta = SplitMix64(derive(seed, idx))
@@ -415,19 +439,15 @@ def quasi_kernel_validation(
             continue
         if not (cert.validated and validate_certificate(d, cert)):
             res.record("returned quasi-kernel does not validate", d)
-    res.elapsed_s = time.perf_counter() - start
-    return res
 
 
+@_experiment("disjoint-quasi-kernels", 1000)
 def disjoint_quasi_kernel_pairs(
-    seed: int = DEFAULT_SEED, instances: int | None = None, max_n: int | None = None
-) -> ExperimentResult:
+    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+) -> None:
     """Sink-free outer digraphs admit two disjoint quasi-kernels lifted from
     factors, and sink-free semicomplete digraphs have at least two singleton
     quasi-kernel vertices (exhaustively to n=5, then randomly to n=10)."""
-    instances = 1000 if instances is None else instances
-    res = ExperimentResult("disjoint-quasi-kernels", 0, 0, 0)
-    start = time.perf_counter()
     sink_free = frozenset({Constraint.NO_SINK_OUTER})
     for idx in range(instances):
         c = _corpus_composition(seed, idx, _SEMI_KINDS, constraints=sink_free)
@@ -470,26 +490,23 @@ def disjoint_quasi_kernel_pairs(
             constraints=sink_free,
         )
         d = generate(spec)
-        assert isinstance(d, Digraph)
+        if not isinstance(d, Digraph):
+            raise GenerationError(f"expected a digraph from {spec}")
         res.checks += 1
         try:
             if len(singleton_quasi_kernels(d)) < 2:
                 res.record("fewer than two singleton quasi-kernels", d)
         except TheoremViolation as exc:
             res.record(str(exc), d)
-    res.elapsed_s = time.perf_counter() - start
-    return res
 
 
+@_experiment("kkernel-poly", 500)
 def kkernel_poly(
-    seed: int = DEFAULT_SEED, instances: int | None = None, max_n: int | None = None
-) -> ExperimentResult:
+    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+) -> None:
     """Polynomial k-kernel decisions (k in 4..6) versus the subset-enumeration
     oracle on strong semicomplete compositions."""
-    instances = 500 if instances is None else instances
     max_total = 12 if max_n is None else max_n
-    res = ExperimentResult("kkernel-poly", 0, 0, 0)
-    start = time.perf_counter()
     poly_elapsed = 0.0
     strong = frozenset({Constraint.STRONG_OUTER})
     for idx in range(instances):
@@ -516,18 +533,14 @@ def kkernel_poly(
             if oracle is not None and not validate_certificate(q, oracle):
                 res.record(f"oracle certificate invalid at k={k}", c)
     res.info["poly_elapsed_s"] = round(poly_elapsed, 3)
-    res.elapsed_s = time.perf_counter() - start
-    return res
 
 
+@_experiment("kkernel-reduction", 200)
 def kkernel_reduction(
-    seed: int = DEFAULT_SEED, instances: int | None = None, max_n: int | None = None
-) -> ExperimentResult:
+    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+) -> None:
     """3-kernel existence is preserved by the three-copy gadget, oracle
     checked on both sides (the gadget side runs on up to 12 vertices)."""
-    instances = 200 if instances is None else instances
-    res = ExperimentResult("kkernel-reduction", 0, 0, 0)
-    start = time.perf_counter()
     densities = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     # the directed 4-cycle has no 3-kernel (no pair is 3-independent and no
     # singleton is 2-absorbent), so the negative branch is always exercised
@@ -552,21 +565,17 @@ def kkernel_reduction(
             )
     res.info["digraphs_with_3kernel"] = with_kernel
     res.info["digraphs_without_3kernel"] = res.instances - with_kernel
-    res.elapsed_s = time.perf_counter() - start
-    return res
 
 
+@_experiment("absorbent-transfer", 500)
 def absorbent_transfer(
-    seed: int = DEFAULT_SEED, instances: int | None = None, max_n: int | None = None
-) -> ExperimentResult:
+    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+) -> None:
     """{v} is k-absorbent in the flattened composition with the rest of v's
     factor removed exactly when the factor's outer vertex is a k-absorbent
     singleton of the outer digraph; both sides computed independently for
     k in 3..5."""
-    instances = 500 if instances is None else instances
     max_total = 12 if max_n is None else max_n
-    res = ExperimentResult("absorbent-transfer", 0, 0, 0)
-    start = time.perf_counter()
     for idx in range(instances):
         c = _corpus_composition(seed, idx, _MIXED_KINDS, max_total=max_total)
         res.instances += 1
@@ -600,18 +609,16 @@ def absorbent_transfer(
                             f"inner {inner}, k={k}",
                             c,
                         )
-    res.elapsed_s = time.perf_counter() - start
-    return res
 
 
+@_experiment("fixture-regression", 1)
 def fixture_regression(
-    seed: int = DEFAULT_SEED, instances: int | None = None, max_n: int | None = None
-) -> ExperimentResult:
+    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+) -> None:
     """The pinned unique-3-king example keeps its four properties: no source
     in the flattened digraph, a source in the outer, flat vertex 3 as the
     unique 3-king, and no arc between flat vertices 3 and 0."""
-    res = ExperimentResult("fixture-regression", 1, 4, 0)
-    start = time.perf_counter()
+    res.instances, res.checks = 1, 4
     c = unique_three_king_fixture()
     q = flatten(c)
     if any(not q.in_adj[v] for v in range(q.n)):
@@ -623,22 +630,21 @@ def fixture_regression(
         res.record("fixture's 3-king set is not exactly {3}", c)
     if q.has_arc(3, 0) or q.has_arc(0, 3):
         res.record("fixture has an arc between flat vertices 3 and 0", c)
-    res.elapsed_s = time.perf_counter() - start
-    return res
 
 
-Runner = Callable[..., ExperimentResult]
-
-EXPERIMENTS: dict[str, Runner] = {
-    "king-characterization": king_characterization,
-    "three-king-count": three_king_count,
-    "nonking-witness": nonking_witness,
-    "establishment": establishment,
-    "four-king-bound": four_king_bound,
-    "quasi-kernel": quasi_kernel_validation,
-    "disjoint-quasi-kernels": disjoint_quasi_kernel_pairs,
-    "kkernel-poly": kkernel_poly,
-    "kkernel-reduction": kkernel_reduction,
-    "absorbent-transfer": absorbent_transfer,
-    "fixture-regression": fixture_regression,
+EXPERIMENTS: dict[str, Experiment] = {
+    runner.name: runner
+    for runner in (
+        king_characterization,
+        three_king_count,
+        nonking_witness,
+        establishment,
+        four_king_bound,
+        quasi_kernel_validation,
+        disjoint_quasi_kernel_pairs,
+        kkernel_poly,
+        kkernel_reduction,
+        absorbent_transfer,
+        fixture_regression,
+    )
 }

@@ -272,7 +272,11 @@ def k_kernel_brute_force(
                 k=k,
                 validated=False,
             )
-            assert validate_certificate(d, cert)
+            if not validate_certificate(d, cert):
+                raise TheoremViolation(
+                    f"oracle {k}-kernel {sorted(combo)} failed validation",
+                    instance=d,
+                )
             return replace(cert, validated=True)
     return None
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from kingkernel import (
@@ -105,20 +108,28 @@ class TestFlatten:
         c = compose(three_cycle(), (two_cycle(), *singletons(2)))
         assert flatten(c) == flatten(c)
 
+    def test_result_is_not_retained(self):
+        c = compose(three_cycle(), (two_cycle(), *singletons(2)))
+        q = flatten(c)
+        ref = weakref.ref(q)
+        del q
+        gc.collect()
+        assert ref() is None
+
 
 class TestProfile:
     def test_two_cycle_outer_is_strong_semicomplete(self):
         profile = composition_profile(compose(two_cycle(), singletons(2)))
-        assert profile.is_semicomplete_composition
+        assert profile.outer_semicomplete
         assert profile.is_strong_semicomplete_composition
 
     def test_transitive_triangle_outer_has_a_source(self):
         outer = build_digraph(3, [(0, 1), (0, 2), (1, 2)])
         profile = composition_profile(compose(outer, singletons(3)))
-        assert profile.is_semicomplete_composition
+        assert profile.outer_semicomplete
         assert not profile.is_strong_semicomplete_composition
         assert profile.outer_sources == frozenset({0})
 
     def test_arcless_outer_is_not_semicomplete(self):
         profile = composition_profile(compose(build_digraph(2, []), singletons(2)))
-        assert not profile.is_semicomplete_composition
+        assert not profile.outer_semicomplete

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kingkernel import (
     UNREACHABLE,
+    PreconditionError,
     build_digraph,
     c3_gadget,
     can_establish,
@@ -19,6 +21,7 @@ from kingkernel import (
     disjoint_quasi_kernels,
     distances_from,
     distances_to,
+    distances_to_set,
     establish,
     flatten,
     four_king_bound_report,
@@ -120,6 +123,18 @@ class TestDistances:
         rev = converse(d)
         for v in range(d.n):
             assert distances_to(d, v) == distances_from(rev, v)
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_distance_to_set_is_the_minimum_over_targets(self, data):
+        d = data.draw(digraphs(min_n=1))
+        targets = data.draw(st.lists(st.integers(0, d.n - 1), max_size=2 * d.n))
+        dist = distances_to_set(d, targets)
+        for x in range(d.n):
+            brute = brute_distances(d, x)
+            assert dist[x] == min((brute[s] for s in targets), default=UNREACHABLE)
+        with pytest.raises(PreconditionError):
+            distances_to_set(d, [*targets, d.n])
 
     @settings(deadline=None, max_examples=80)
     @given(digraphs())

@@ -6,6 +6,7 @@ from kingkernel import (
     CertificateKind,
     KernelCertificate,
     PreconditionError,
+    TheoremViolation,
     build_digraph,
     c3_gadget,
     compose,
@@ -17,6 +18,7 @@ from kingkernel import (
     singleton_quasi_kernels,
     validate_certificate,
 )
+import kingkernel.kernels as kernels_module
 from kingkernel.kernels import DEFAULT_ORACLE_CAP, ORACLE_CAP_ENV
 from bruteforce import brute_is_quasi_kernel
 
@@ -192,6 +194,14 @@ class TestBruteForceOracle:
         monkeypatch.setenv(ORACLE_CAP_ENV, "20")
         with pytest.raises(PreconditionError):
             k_kernel_brute_force(d, 2, max_n=4)
+
+    def test_rejected_winner_raises_theorem_violation(self, monkeypatch):
+        # must raise even under python -O, so not an assert
+        monkeypatch.setattr(kernels_module, "validate_certificate", lambda d, c: False)
+        d = cycle(4)
+        with pytest.raises(TheoremViolation) as info:
+            k_kernel_brute_force(d, 2)
+        assert info.value.instance is d
 
 
 class TestGadget:
