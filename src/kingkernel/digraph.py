@@ -3,13 +3,20 @@
 Digraphs are loopless and use vertex ids 0..n-1. Parallel arcs collapse; the
 pair of opposite arcs (u, v), (v, u) is allowed and is how 2-cycles and
 bidirected edges are modelled.
+
+Every distance question runs on one bitset BFS core. Each digraph caches its
+adjacency as Python-int masks (bit v of out_masks[u] is set iff u -> v), and
+`_levels` expands a frontier mask one level at a time by OR-ing the masks of
+its vertices. Callers stop consuming levels when they have their answer: the
+distance lists, eccentricities and shortest cycles walk every level, while
+`_ball` stops at a depth bound, or earlier once every vertex is reached.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError
@@ -47,6 +54,20 @@ class Digraph:
 
     def in_degree(self, u: int) -> int:
         return len(self.in_adj[u])
+
+    # The masks are cached per instance, outside the dataclass fields, so
+    # equality and hashing still see only n and the adjacency sets. Summing
+    # distinct powers of two is OR-ing them.
+
+    @cached_property
+    def out_masks(self) -> tuple[int, ...]:
+        """Out-neighbourhoods as bitmasks: bit v of entry u is set iff u -> v."""
+        return tuple([sum(map((1).__lshift__, s)) for s in self.out_adj])
+
+    @cached_property
+    def in_masks(self) -> tuple[int, ...]:
+        """In-neighbourhoods as bitmasks: bit u of entry v is set iff u -> v."""
+        return tuple([sum(map((1).__lshift__, s)) for s in self.in_adj])
 
 
 @dataclass(frozen=True)
@@ -91,56 +112,89 @@ def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     )
 
 
-def _bfs(adj: tuple[frozenset[int], ...], sources: Iterable[int]) -> list[Dist]:
-    """Multi-source BFS along adj (a digraph's out_adj or in_adj): entry v
-    holds the fewest adj-steps from the source set to v, 0 on the sources."""
-    n = len(adj)
-    dist: list[Dist] = [UNREACHABLE] * n
-    queue: deque[int] = deque()
+def _source_mask(n: int, sources: Iterable[int]) -> int:
+    """Bitmask of the source vertices, each checked against range(n)."""
+    mask = 0
     for s in sources:
         if not 0 <= s < n:
             raise PreconditionError(f"vertex {s} out of range for n={n}")
-        if dist[s] is UNREACHABLE:
-            dist[s] = 0
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] is UNREACHABLE:
-                dist[v] = du
-                queue.append(v)
+        mask |= 1 << s
+    return mask
+
+
+def _levels(masks: tuple[int, ...], frontier: int) -> Iterator[int]:
+    """BFS along masks (a digraph's out_masks or in_masks) from the vertex
+    mask `frontier`: the j-th yielded mask (from 0) holds the vertices first
+    reached after j steps. A level is expanded only when the caller asks for
+    the next one, so stopping early costs nothing."""
+    seen = frontier
+    while frontier:
+        yield frontier
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+
+
+def _bfs(masks: tuple[int, ...], sources: Iterable[int]) -> list[Dist]:
+    """Multi-source BFS along masks: entry v holds the fewest steps from the
+    source set to v, 0 on the sources."""
+    n = len(masks)
+    dist: list[Dist] = [UNREACHABLE] * n
+    for level, frontier in enumerate(_levels(masks, _source_mask(n, sources))):
+        while frontier:
+            low = frontier & -frontier
+            dist[low.bit_length() - 1] = level
+            frontier ^= low
     return dist
+
+
+def _ball(masks: tuple[int, ...], s: int, depth: int) -> tuple[int, bool]:
+    """The mask of vertices within `depth` >= 1 steps of s along masks (s
+    included), and whether s lies on a cycle of length at most `depth`.
+
+    One BFS seeded with s's neighbours, so s is reached again exactly
+    through a short cycle. It stops after `depth` levels, or as soon as every
+    vertex, s included, has been reached."""
+    full = (1 << len(masks)) - 1
+    reached = 0
+    for level, frontier in enumerate(_levels(masks, masks[s]), 1):
+        reached |= frontier
+        if level == depth or reached == full:
+            break
+    return reached | (1 << s), bool(reached >> s & 1)
 
 
 def distances_from(d: Digraph, source: int) -> list[Dist]:
     """BFS out-distances from source; UNREACHABLE where no path exists."""
-    return _bfs(d.out_adj, (source,))
+    return _bfs(d.out_masks, (source,))
 
 
 def distances_to(d: Digraph, target: int) -> list[Dist]:
     """BFS over in-arcs: entry u holds the length of a shortest u -> target
     path. Equivalent to distances_from in the converse digraph."""
-    return _bfs(d.in_adj, (target,))
+    return _bfs(d.in_masks, (target,))
 
 
 def distances_to_set(d: Digraph, targets: Iterable[int]) -> list[Dist]:
     """Multi-source variant of distances_to: shortest distance from each
     vertex into the target set (0 on the set itself)."""
-    return _bfs(d.in_adj, targets)
+    return _bfs(d.in_masks, targets)
 
 
 def out_eccentricities(d: Digraph) -> list[Dist]:
     """Out-eccentricity of every vertex: max distance to any other vertex,
-    UNREACHABLE when some vertex cannot be reached."""
+    UNREACHABLE when some vertex cannot be reached. The last level of each
+    BFS is the eccentricity; no distance list is built."""
+    full = (1 << d.n) - 1
     eccs: list[Dist] = []
     for v in range(d.n):
-        dist = distances_from(d, v)
-        ecc: Dist = 0
-        for u in range(d.n):
-            if dist[u] > ecc:
-                ecc = dist[u]
-        eccs.append(ecc)
+        levels = list(_levels(d.out_masks, 1 << v))
+        # levels are disjoint, so their sum is every vertex v reaches
+        eccs.append(len(levels) - 1 if sum(levels) == full else UNREACHABLE)
     return eccs
 
 
@@ -225,25 +279,22 @@ def strong_decomposition(d: Digraph) -> StrongDecomposition:
 
 
 def is_strong(d: Digraph) -> bool:
-    """One strong component covering every vertex. The empty digraph and the
-    single vertex count as strong."""
+    """One strong component covering every vertex: vertex 0 reaches every
+    vertex and every vertex reaches it. The empty digraph and the single
+    vertex count as strong."""
     if d.n <= 1:
         return True
-    return len(strong_decomposition(d).components) == 1
+    full = (1 << d.n) - 1
+    return sum(_levels(d.out_masks, 1)) == full and sum(_levels(d.in_masks, 1)) == full
 
 
 def classify_digraph(d: Digraph) -> DigraphClass:
-    semicomplete = True
-    tournament = True
-    for u in range(d.n):
-        for v in range(u + 1, d.n):
-            fw = v in d.out_adj[u]
-            bw = u in d.out_adj[v]
-            if not (fw or bw):
-                semicomplete = False
-                tournament = False
-            elif fw and bw:
-                tournament = False
+    # semicomplete: every other vertex is an out- or in-neighbour of u;
+    # tournament: additionally never both
+    full = (1 << d.n) - 1
+    outs, ins = d.out_masks, d.in_masks
+    semicomplete = all(outs[u] | ins[u] | 1 << u == full for u in range(d.n))
+    tournament = semicomplete and not any(outs[u] & ins[u] for u in range(d.n))
     sources = frozenset(v for v in range(d.n) if not d.in_adj[v])
     sinks = frozenset(v for v in range(d.n) if not d.out_adj[v])
     return DigraphClass(
@@ -258,15 +309,15 @@ def classify_digraph(d: Digraph) -> DigraphClass:
 def min_cycle_length_through(d: Digraph, v: int) -> Dist:
     """Length of a shortest directed cycle through v.
 
-    One backward BFS to v gives d(w, v) for every out-neighbour w, and a
-    shortest cycle is an arc v -> w extended by a shortest w -> v path.
+    One BFS from v's out-neighbours: a shortest cycle is an arc v -> w
+    extended by a shortest w -> v path, so its length is the first level at
+    which v is reached again.
     """
-    back = distances_to(d, v)
-    best: Dist = UNREACHABLE
-    for w in d.out_adj[v]:
-        if back[w] + 1 < best:
-            best = back[w] + 1
-    return best
+    bit = _source_mask(d.n, (v,))
+    for length, frontier in enumerate(_levels(d.out_masks, d.out_masks[v]), 1):
+        if frontier & bit:
+            return length
+    return UNREACHABLE
 
 
 def induced_subdigraph(d: Digraph, keep: Iterable[int]) -> tuple[Digraph, dict[int, int]]:

@@ -28,10 +28,10 @@ from .composition import (
 )
 from .digraph import (
     Digraph,
+    _ball,
     build_digraph,
     classify_digraph,
     distances_from,
-    distances_to,
     distances_to_set,
 )
 from .errors import PreconditionError, TheoremViolation
@@ -123,9 +123,8 @@ def singleton_quasi_kernels(d: Digraph) -> frozenset[int]:
     cls = classify_digraph(d)
     if not cls.is_semicomplete:
         raise PreconditionError("digraph is not semicomplete")
-    found = frozenset(
-        v for v in range(d.n) if all(dist <= 2 for dist in distances_to(d, v))
-    )
+    full = (1 << d.n) - 1
+    found = frozenset(v for v in range(d.n) if _ball(d.in_masks, v, 2)[0] == full)
     if d.n > 0 and not cls.sinks and len(found) < 2:
         raise TheoremViolation(
             "sink-free semicomplete digraph with fewer than two singleton "
@@ -174,7 +173,8 @@ def composition_k_kernel(c: Composition, k: int) -> KernelCertificate | None:
     """Polynomial k-kernel decision for strong semicomplete compositions,
     k >= 4: a k-kernel exists exactly when some outer vertex u_i has every
     outer vertex within distance k-1 of it, and then the smallest vertex of
-    factor i is one on its own. One backward BFS per outer vertex.
+    factor i is one on its own. One depth-(k-1) backward BFS per outer
+    vertex, stopping at the first that reaches every outer vertex.
 
     k in {2, 3} is NP-complete and deliberately not offered here; use
     k_kernel_brute_force."""
@@ -184,8 +184,9 @@ def composition_k_kernel(c: Composition, k: int) -> KernelCertificate | None:
             f"polynomial decision requires k >= 4, got {k}; "
             "use k_kernel_brute_force for k in {2, 3}"
         )
+    full = (1 << c.t) - 1
     for i in range(c.t):
-        if all(dist <= k - 1 for dist in distances_to(c.outer, i)):
+        if _ball(c.outer.in_masks, i, k - 1)[0] == full:
             cert = KernelCertificate(
                 kind=CertificateKind.K_KERNEL,
                 vertices=frozenset({c.flat_id(i, 0)}),
@@ -234,21 +235,16 @@ def k_kernel_brute_force(
         return KernelCertificate(
             kind=CertificateKind.K_KERNEL, vertices=frozenset(), k=k, validated=True
         )
-    # Bitmask prefilters over all-pairs distances; the winner is re-checked
+    # Bitmask prefilters from depth-(k-1) balls; the winner is re-checked
     # against the certificate definition.
-    dist = [distances_from(d, v) for v in range(d.n)]
-    absorb: list[int] = []  # y-mask per x: d(x, y) <= k-1
-    compat: list[int] = []  # y-mask per x: x, y may share a k-independent set
-    for x in range(d.n):
-        a = 0
-        cm = 0
-        for y in range(d.n):
-            if dist[x][y] <= k - 1:
-                a |= 1 << y
-            if y != x and dist[x][y] >= k and dist[y][x] >= k:
-                cm |= 1 << y
-        absorb.append(a)
-        compat.append(cm)
+    full = (1 << d.n) - 1
+    # y-mask per x: d(x, y) <= k-1
+    absorb = [_ball(d.out_masks, x, k - 1)[0] for x in range(d.n)]
+    # y-mask per x: d(x, y) >= k and d(y, x) >= k, so x, y may share a
+    # k-independent set
+    compat = [
+        full & ~(absorb[x] | _ball(d.in_masks, x, k - 1)[0]) for x in range(d.n)
+    ]
     for size in range(1, d.n + 1):
         for combo in combinations(range(d.n), size):
             mask = 0

@@ -7,6 +7,10 @@ a non-king is a vertex that is not even a 3-king.
 For compositions the k-king structure of the flattened digraph is decided
 from the outer digraph and the factors alone, without flattening, and the
 3-king set of a strong semicomplete composition is a union of whole factors.
+Whether an outer vertex u_i is a k-king, and whether it lies on an outer
+cycle of length at most k, both come from one depth-k bitset BFS from u_i
+(`digraph._ball`); the composition-level decisions walk the outer vertices
+in order with it and stop at the first vertex that settles the answer.
 """
 
 from __future__ import annotations
@@ -23,10 +27,9 @@ from .composition import (
 from .digraph import (
     Digraph,
     Dist,
+    _ball,
     build_digraph,
     classify_digraph,
-    distances_from,
-    min_cycle_length_through,
     out_eccentricities,
 )
 from .errors import PreconditionError, TheoremViolation
@@ -116,9 +119,10 @@ def composition_has_k_king(c: Composition, k: int) -> CompositionKingWitness:
     """
     if k < 2:
         raise PreconditionError(f"king order must be >= 2, got {k}")
-    outer_kings = k_kings(c.outer, k).kings
+    full = (1 << c.t) - 1
     for i in range(c.t):
-        if i not in outer_kings:
+        ball, on_short_cycle = _ball(c.outer.out_masks, i, k)
+        if ball != full:
             continue
         h = c.factors[i]
         if k_kings(h, k).kings:
@@ -127,7 +131,7 @@ def composition_has_k_king(c: Composition, k: int) -> CompositionKingWitness:
                 witness_factor=i,
                 reason=KingWitnessReason.FACTOR_HAS_KING,
             )
-        if h.n >= 2 and min_cycle_length_through(c.outer, i) <= k:
+        if h.n >= 2 and on_short_cycle:
             return CompositionKingWitness(
                 exists=True,
                 witness_factor=i,
@@ -143,16 +147,16 @@ def composition_all_k_kings(c: Composition, k: int) -> bool:
     its outer vertex on a cycle of length at most k."""
     if k < 2:
         raise PreconditionError(f"king order must be >= 2, got {k}")
-    outer_kings = k_kings(c.outer, k).kings
+    full = (1 << c.t) - 1
     for i in range(c.t):
-        if i not in outer_kings:
+        ball, on_short_cycle = _ball(c.outer.out_masks, i, k)
+        if ball != full:
             return False
         h = c.factors[i]
-        if len(k_kings(h, k).kings) == h.n:
+        if h.n >= 2 and on_short_cycle:
             continue
-        if h.n >= 2 and min_cycle_length_through(c.outer, i) <= k:
-            continue
-        return False
+        if len(k_kings(h, k).kings) != h.n:
+            return False
     return True
 
 
@@ -184,18 +188,29 @@ def non_king_dominator_witness(c: Composition, u: int) -> int:
     """For a non-king u of a strong semicomplete composition: the smallest
     3-king v that dominates u (arc v -> u) while sitting at distance more
     than 3 from u. Such a v always exists; failing to find one is a theorem
-    violation, not a normal result."""
+    violation, not a normal result.
+
+    Decided on the outer digraph: with u in factor i, the 3-kings are the
+    whole factors of the outer 3-kings, and every vertex of another factor j
+    dominates u when u_j -> u_i and sits at distance d_T(u_i, u_j) from u. So
+    v is vertex 0 of the smallest outer 3-king j outside the depth-3 out-ball
+    of u_i with an arc u_j -> u_i."""
     require_strong_semicomplete_composition(c)
-    q = flatten(c)
-    if not 0 <= u < q.n:
-        raise PreconditionError(f"vertex {u} out of range for n={q.n}")
-    report = k_kings(q, 3)
-    if u in report.kings:
+    if not 0 <= u < c.total_vertices:
+        raise PreconditionError(f"vertex {u} out of range for n={c.total_vertices}")
+    i = c.locate(u).factor
+    outer = c.outer
+    full = (1 << c.t) - 1
+    near, _ = _ball(outer.out_masks, i, 3)
+    if near == full:
         raise PreconditionError(f"vertex {u} is a 3-king, not a non-king")
-    dist_u = distances_from(q, u)
-    for v in sorted(report.kings):
-        if u in q.out_adj[v] and dist_u[v] > 3:
-            return v
+    candidates = outer.in_masks[i] & ~near
+    while candidates:
+        low = candidates & -candidates
+        j = low.bit_length() - 1
+        if _ball(outer.out_masks, j, 3)[0] == full:
+            return c.flat_id(j, 0)
+        candidates ^= low
     raise TheoremViolation(
         f"no dominating 3-king at distance > 3 from non-king {u}", instance=c
     )

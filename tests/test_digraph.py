@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -20,6 +21,9 @@ from kingkernel import (
     out_eccentricities,
     strong_decomposition,
 )
+from kingkernel.gen import random_digraph
+
+from bruteforce import brute_distances
 
 
 def path(n: int) -> Digraph:
@@ -62,6 +66,16 @@ class TestBuild:
                 assert u in d.in_adj[v]
         assert list(d.arcs()) == [(0, 1), (1, 3), (2, 1), (3, 0)]
 
+    def test_cached_masks_leave_value_semantics_alone(self):
+        arcs = [(0, 1), (1, 2), (2, 0), (0, 2)]
+        a, b = build_digraph(3, arcs), build_digraph(3, arcs)
+        before = hash(b)
+        assert a.out_masks == (0b110, 0b100, 0b001)
+        assert a.in_masks == (0b100, 0b001, 0b011)
+        assert a == b
+        assert hash(a) == hash(b) == before
+        assert [f.name for f in dataclasses.fields(Digraph)] == ["n", "out_adj", "in_adj"]
+
 
 class TestDistances:
     def test_forward_along_path(self):
@@ -92,6 +106,24 @@ class TestDistances:
         assert UNREACHABLE > 10**9
         assert not UNREACHABLE <= 3
         assert UNREACHABLE == math.inf
+
+
+class TestMultiWordMasks:
+    # 130 vertices, so every adjacency mask spans three 64-bit words; vertex
+    # 129 is made a sink so that some distances are UNREACHABLE
+    d = build_digraph(
+        130, [(u, v) for u, v in random_digraph(130, 20261018, 0.04).arcs() if u != 129]
+    )
+
+    def test_distances_match_bellman_ford(self):
+        for s in (0, 1, 63, 64, 129):
+            assert distances_from(self.d, s) == brute_distances(self.d, s)
+            assert distances_to(self.d, s) == brute_distances(converse(self.d), s)
+
+    def test_eccentricities_match_bellman_ford(self):
+        assert out_eccentricities(self.d) == [
+            max(brute_distances(self.d, s)) for s in range(self.d.n)
+        ]
 
 
 class TestEccentricities:

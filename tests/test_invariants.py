@@ -38,6 +38,8 @@ from kingkernel import (
     strong_decomposition,
     validate_certificate,
 )
+from kingkernel.digraph import _ball
+from kingkernel.experiments import path_like_tournament
 from kingkernel.fileformat import (
     composition_from_json,
     composition_to_json,
@@ -54,6 +56,7 @@ from bruteforce import (
     brute_flat_arcs,
     brute_initial_components,
     brute_is_quasi_kernel,
+    brute_k_kings,
     brute_min_cycle_through,
 )
 
@@ -101,6 +104,19 @@ def semicomplete_compositions(
     return compose(outer, factors)
 
 
+@st.composite
+def path_like_compositions(draw, min_t: int = 5, max_t: int = 7, max_size: int = 2):
+    # the path-like tournament i -> i+1, j -> i (j >= i+2) has vertices of
+    # eccentricity t-1 >= 4, so its compositions have non-kings; a few added
+    # back arcs (2-cycles) keep the outer strong semicomplete
+    t = draw(st.integers(min_t, max_t))
+    base = path_like_tournament(t)
+    extra = draw(st.lists(st.sampled_from([(v, u) for u, v in base.arcs()]), max_size=2))
+    outer = build_digraph(t, [*base.arcs(), *extra])
+    factors = tuple(draw(digraphs(min_n=1, max_n=max_size)) for _ in range(t))
+    return compose(outer, factors)
+
+
 class TestDistances:
     @settings(deadline=None, max_examples=80)
     @given(digraphs())
@@ -135,6 +151,21 @@ class TestDistances:
             assert dist[x] == min((brute[s] for s in targets), default=UNREACHABLE)
         with pytest.raises(PreconditionError):
             distances_to_set(d, [*targets, d.n])
+
+    @settings(deadline=None, max_examples=60)
+    @given(digraphs(min_n=1, max_n=7))
+    def test_depth_bounded_ball_matches_brute_force(self, d):
+        rev = converse(d)
+        for s in range(d.n):
+            out_dist = brute_distances(d, s)
+            in_dist = brute_distances(rev, s)
+            cycle = brute_min_cycle_through(d, s)
+            for k in (1, 2, 3, 4):
+                ball, on_cycle = _ball(d.out_masks, s, k)
+                assert ball == sum(1 << v for v in range(d.n) if out_dist[v] <= k)
+                assert on_cycle == (cycle <= k)
+                in_ball, _ = _ball(d.in_masks, s, k)
+                assert in_ball == sum(1 << v for v in range(d.n) if in_dist[v] <= k)
 
     @settings(deadline=None, max_examples=80)
     @given(digraphs())
@@ -274,6 +305,25 @@ class TestThreeKingStructure:
             assert v in three_kings
             assert q.has_arc(v, u)
             assert distances_from(q, u)[v] > 3
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(semicomplete_compositions(), path_like_compositions()))
+    def test_non_king_witness_is_the_smallest_flat_witness(self, c):
+        assume(is_strong(c.outer))
+        q = flatten(c)
+        three_kings = brute_k_kings(q, 3)
+        for u in range(q.n):
+            if u in three_kings:
+                with pytest.raises(PreconditionError):
+                    non_king_dominator_witness(c, u)
+                continue
+            dist_u = brute_distances(q, u)
+            expected = min(
+                v for v in three_kings if q.has_arc(v, u) and dist_u[v] > 3
+            )
+            assert non_king_dominator_witness(c, u) == expected
+        with pytest.raises(PreconditionError):
+            non_king_dominator_witness(c, q.n)
 
     @settings(deadline=None, max_examples=30)
     @given(semicomplete_compositions(min_t=3, min_size=2))
