@@ -56,18 +56,28 @@ class Digraph:
         return len(self.in_adj[u])
 
     # The masks are cached per instance, outside the dataclass fields, so
-    # equality and hashing still see only n and the adjacency sets. Summing
-    # distinct powers of two is OR-ing them.
+    # equality and hashing still see only n and the adjacency sets.
 
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
         """Out-neighbourhoods as bitmasks: bit v of entry u is set iff u -> v."""
-        return tuple([sum(map((1).__lshift__, s)) for s in self.out_adj])
+        return _masks(self.out_adj)
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
         """In-neighbourhoods as bitmasks: bit u of entry v is set iff u -> v."""
-        return tuple([sum(map((1).__lshift__, s)) for s in self.in_adj])
+        return _masks(self.in_adj)
+
+
+def _masks(adj: tuple[frozenset[int], ...]) -> tuple[int, ...]:
+    """Adjacency sets as bitmasks: bit v of entry u is set iff v in adj[u]."""
+    masks = []
+    for vertices in adj:
+        mask = 0
+        for v in vertices:
+            mask |= 1 << v
+        masks.append(mask)
+    return tuple(masks)
 
 
 @dataclass(frozen=True)
