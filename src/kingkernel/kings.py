@@ -205,12 +205,9 @@ def non_king_dominator_witness(c: Composition, u: int) -> int:
     if near == full:
         raise PreconditionError(f"vertex {u} is a 3-king, not a non-king")
     candidates = outer.in_masks[i] & ~near
-    while candidates:
-        low = candidates & -candidates
-        j = low.bit_length() - 1
-        if _ball(outer.out_masks, j, 3)[0] == full:
+    for j in range(c.t):
+        if candidates >> j & 1 and _ball(outer.out_masks, j, 3)[0] == full:
             return c.flat_id(j, 0)
-        candidates ^= low
     raise TheoremViolation(
         f"no dominating 3-king at distance > 3 from non-king {u}", instance=c
     )
