@@ -8,7 +8,8 @@ Every distance question runs on one bitset BFS core. Each digraph caches its
 adjacency as Python-int masks (bit v of out_masks[u] is set iff u -> v), and
 `_levels` expands a frontier mask one level at a time by OR-ing the masks of
 its vertices. Callers stop consuming levels when they have their answer: the
-distance lists, eccentricities and shortest cycles walk every level, while
+distance lists, eccentricities and the strong-connectivity test walk every
+level, the shortest cycle stops where the start vertex reappears, and
 `_ball` stops at a depth bound, or earlier once every vertex is reached.
 """
 
