@@ -295,7 +295,7 @@ class TestThreeKingStructure:
         assert len(flat_kings) != 1
 
     @settings(deadline=None, max_examples=30)
-    @given(semicomplete_compositions(max_t=3))
+    @given(st.one_of(semicomplete_compositions(max_t=3), path_like_compositions()))
     def test_non_kings_are_beaten_by_a_distant_three_king(self, c):
         assume(is_strong(c.outer))
         q = flatten(c)
