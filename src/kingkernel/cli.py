@@ -15,13 +15,8 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .composition import (
-    Composition,
-    composition_profile,
-    flatten,
-    require_strong_semicomplete_composition,
-)
-from .digraph import Digraph, UNREACHABLE, classify_digraph
+from .composition import Composition, flatten, require_strong_semicomplete_composition
+from .digraph import Digraph, DigraphClass, UNREACHABLE, classify_digraph
 from .errors import FormatError, GenerationError, PreconditionError, TheoremViolation
 from .experiments import DEFAULT_SEED, EXPERIMENTS
 from .fileformat import (
@@ -41,7 +36,13 @@ from .kernels import (
     k_kernel_brute_force,
     quasi_kernel,
 )
-from .kings import can_establish, classify_three_kings, establish, k_kings
+from .kings import (
+    can_establish,
+    classified_flat_three_kings,
+    classify_three_kings,
+    establish,
+    k_kings,
+)
 
 ANOMALY_FILE = "kk-anomaly.json"
 
@@ -76,8 +77,7 @@ def _ecc_json(values: tuple[int | float, ...]) -> list[int | None]:
     return [None if v is UNREACHABLE else int(v) for v in values]
 
 
-def _classification_json(d: Digraph) -> dict[str, Any]:
-    cls = classify_digraph(d)
+def _classification_json(cls: DigraphClass) -> dict[str, Any]:
     return {
         "semicomplete": cls.is_semicomplete,
         "tournament": cls.is_tournament,
@@ -140,7 +140,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         payload = {
             "type": "digraph",
             "n": obj.n,
-            "classification": _classification_json(obj),
+            "classification": _classification_json(classify_digraph(obj)),
         }
         cls = payload["classification"]
         text = "\n".join(
@@ -157,14 +157,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return 0
     classification = classify_three_kings(obj)
     flags = {str(i + 1): classification.flags[i].value for i in range(obj.t)}
-    three: list[int] = []
-    for i in sorted(classification.outer_three_kings):
-        start = obj.offsets[i]
-        three.extend(range(start, start + obj.factors[i].n))
+    three = sorted(classified_flat_three_kings(obj, classification))
     payload = {
         "type": "composition",
         "t": obj.t,
-        "outer": _classification_json(obj.outer),
+        "outer": _classification_json(classify_digraph(obj.outer)),
         "factors": flags,
         "three_kings": three,
     }
@@ -393,12 +390,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             "type": "digraph",
             "n": obj.n,
             "arc_count": obj.arc_count,
-            "classification": _classification_json(obj),
+            "classification": _classification_json(classify_digraph(obj)),
         }
         text = f"valid digraph: {obj.n} vertices, {obj.arc_count} arcs"
         _emit(args, payload, text)
         return 0
-    profile = composition_profile(obj)
+    outer = classify_digraph(obj.outer)
+    strong_semicomplete = outer.is_semicomplete and outer.is_strong
     flat = flatten(obj)
     expected = sum(h.arc_count for h in obj.factors) + sum(
         obj.factors[i].n * obj.factors[j].n for i, j in obj.outer.arcs()
@@ -408,17 +406,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "t": obj.t,
         "sizes": [h.n for h in obj.factors],
         "total_vertices": obj.total_vertices,
-        "outer": _classification_json(obj.outer),
-        "semicomplete_composition": profile.outer_semicomplete,
-        "strong_semicomplete_composition": profile.is_strong_semicomplete_composition,
+        "outer": _classification_json(outer),
+        "semicomplete_composition": outer.is_semicomplete,
+        "strong_semicomplete_composition": strong_semicomplete,
         "flat_arc_count": flat.arc_count,
         "arc_formula_ok": flat.arc_count == expected,
     }
     text = "\n".join(
         [
             f"valid composition: {obj.t} factors, {obj.total_vertices} vertices",
-            f"semicomplete composition: {profile.outer_semicomplete}",
-            f"strong semicomplete composition: {profile.is_strong_semicomplete_composition}",
+            f"semicomplete composition: {outer.is_semicomplete}",
+            f"strong semicomplete composition: {strong_semicomplete}",
             f"flattened arcs: {flat.arc_count}",
         ]
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .digraph import Digraph, build_digraph, classify_digraph
+from .digraph import Digraph, DigraphClass, build_digraph, classify_digraph
 from .errors import PreconditionError
 
 
@@ -72,20 +72,6 @@ class Composition:
         return CompositionVertex(factor=factor, inner=flat - offs[factor], flat=flat)
 
 
-@dataclass(frozen=True)
-class CompositionProfile:
-    """Outer-digraph facts that decide which theorems apply to a composition."""
-
-    outer_semicomplete: bool
-    outer_strong: bool
-    outer_sources: frozenset[int]
-    outer_sinks: frozenset[int]
-
-    @property
-    def is_strong_semicomplete_composition(self) -> bool:
-        return self.outer_semicomplete and self.outer_strong
-
-
 def compose(outer: Digraph, factors: tuple[Digraph, ...] | list[Digraph]) -> Composition:
     """Validate and assemble a composition. Requires t >= 2 and every factor
     nonempty; factors may be arbitrary digraphs (an extension uses arcless
@@ -121,28 +107,21 @@ def flatten(c: Composition) -> Digraph:
     return build_digraph(c.total_vertices, arcs)
 
 
-def composition_profile(c: Composition) -> CompositionProfile:
+def require_semicomplete_composition(c: Composition) -> DigraphClass:
+    """The outer digraph's classification; refuses a non-semicomplete outer."""
     cls = classify_digraph(c.outer)
-    return CompositionProfile(
-        outer_semicomplete=cls.is_semicomplete,
-        outer_strong=cls.is_strong,
-        outer_sources=cls.sources,
-        outer_sinks=cls.sinks,
-    )
-
-
-def require_semicomplete_composition(c: Composition) -> CompositionProfile:
-    profile = composition_profile(c)
-    if not profile.outer_semicomplete:
+    if not cls.is_semicomplete:
         raise PreconditionError("outer digraph is not semicomplete")
-    return profile
+    return cls
 
 
-def require_strong_semicomplete_composition(c: Composition) -> CompositionProfile:
-    profile = require_semicomplete_composition(c)
-    if not profile.outer_strong:
+def require_strong_semicomplete_composition(c: Composition) -> DigraphClass:
+    """The outer digraph's classification; refuses an outer that is not
+    strong semicomplete."""
+    cls = require_semicomplete_composition(c)
+    if not cls.is_strong:
         raise PreconditionError("outer digraph is not strong")
-    return profile
+    return cls
 
 
 def extension(outer: Digraph, sizes: tuple[int, ...] | list[int]) -> Composition:
@@ -153,10 +132,8 @@ def extension(outer: Digraph, sizes: tuple[int, ...] | list[int]) -> Composition
 
 __all__ = [
     "Composition",
-    "CompositionProfile",
     "CompositionVertex",
     "compose",
-    "composition_profile",
     "extension",
     "flatten",
     "require_semicomplete_composition",

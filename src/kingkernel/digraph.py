@@ -93,16 +93,6 @@ class DigraphClass:
     is_strong: bool
 
 
-@dataclass(frozen=True)
-class StrongDecomposition:
-    """Strong components, numbered by smallest member vertex. initial_ids are
-    the components with no incoming arc in the condensation."""
-
-    component_of: tuple[int, ...]
-    components: tuple[frozenset[int], ...]
-    initial_ids: frozenset[int]
-
-
 def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     """Construct a digraph, rejecting loops and out-of-range endpoints."""
     if n < 0:
@@ -210,83 +200,8 @@ def out_eccentricities(d: Digraph) -> list[Dist]:
 
 
 def converse(d: Digraph) -> Digraph:
-    """Reverse every arc. Kings of the converse are the 2-step absorbing
-    vertices of the original, which is how singleton quasi-kernels are found."""
+    """Reverse every arc. The adjacency sets are swapped, not copied."""
     return Digraph(n=d.n, out_adj=d.in_adj, in_adj=d.out_adj)
-
-
-def strong_decomposition(d: Digraph) -> StrongDecomposition:
-    """Tarjan's algorithm, iterative to survive deep recursion on path-like
-    digraphs. Components are renumbered by their smallest vertex."""
-    index_of: list[int] = [-1] * d.n
-    lowlink: list[int] = [0] * d.n
-    on_stack: list[bool] = [False] * d.n
-    stack: list[int] = []
-    comp_of: list[int] = [-1] * d.n
-    comps: list[frozenset[int]] = []
-    counter = 0
-
-    for root in range(d.n):
-        if index_of[root] != -1:
-            continue
-        # Each frame is (vertex, iterator over its out-neighbours).
-        work: list[tuple[int, Iterator[int]]] = []
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work.append((root, iter(d.out_adj[root])))
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index_of[w] == -1:
-                    index_of[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(d.out_adj[w])))
-                    advanced = True
-                    break
-                if on_stack[w] and index_of[w] < lowlink[v]:
-                    lowlink[v] = index_of[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if lowlink[v] < lowlink[parent]:
-                    lowlink[parent] = lowlink[v]
-            if lowlink[v] == index_of[v]:
-                members = set()
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    members.add(w)
-                    if w == v:
-                        break
-                cid = len(comps)
-                comps.append(frozenset(members))
-                for w in members:
-                    comp_of[w] = cid
-
-    # Renumber components by smallest member for a canonical presentation.
-    order = sorted(range(len(comps)), key=lambda c: min(comps[c]))
-    renum = {old: new for new, old in enumerate(order)}
-    components = tuple(comps[old] for old in order)
-    component_of = tuple(renum[comp_of[v]] for v in range(d.n))
-
-    has_incoming = [False] * len(components)
-    for u in range(d.n):
-        cu = component_of[u]
-        for v in d.out_adj[u]:
-            cv = component_of[v]
-            if cu != cv:
-                has_incoming[cv] = True
-    initial = frozenset(c for c in range(len(components)) if not has_incoming[c])
-    return StrongDecomposition(
-        component_of=component_of, components=components, initial_ids=initial
-    )
 
 
 def is_strong(d: Digraph) -> bool:

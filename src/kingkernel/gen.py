@@ -33,7 +33,7 @@ from .errors import GenerationError, PreconditionError
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
-DEFAULT_RETRY_CAP = 10000
+RETRY_CAP = 10000
 
 
 def mix64(x: int) -> int:
@@ -185,11 +185,11 @@ def _outer_for(spec: GenSpec, n: int, seed: int) -> Digraph:
     return random_semicomplete(n, seed, spec.p2)
 
 
-def random_composition(spec: GenSpec, retry_cap: int = DEFAULT_RETRY_CAP) -> Composition:
+def random_composition(spec: GenSpec) -> Composition:
     """Composition with a generated outer digraph and Erdos-Renyi factors.
     Factor sizes are drawn uniformly from [size_min, size_max]. Constraints
     apply to the outer digraph and are enforced by rejection over derived
-    attempt seeds; exhaustion of the retry cap is an error."""
+    attempt seeds; failing all RETRY_CAP attempts is an error."""
     if spec.t is None or spec.t < 2:
         raise PreconditionError(f"composition needs t >= 2, got {spec.t}")
     if spec.size_min is None or spec.size_max is None:
@@ -199,7 +199,7 @@ def random_composition(spec: GenSpec, retry_cap: int = DEFAULT_RETRY_CAP) -> Com
             f"bad factor-size range [{spec.size_min}, {spec.size_max}]"
         )
     t = spec.t
-    for attempt in range(retry_cap):
+    for attempt in range(RETRY_CAP):
         sizing = SplitMix64(derive(spec.seed, attempt, 0))
         sizes = [sizing.randint(spec.size_min, spec.size_max) for _ in range(t)]
         outer = _outer_for(spec, t, derive(spec.seed, attempt, 1))
@@ -212,28 +212,28 @@ def random_composition(spec: GenSpec, retry_cap: int = DEFAULT_RETRY_CAP) -> Com
         return compose(outer, factors)
     raise GenerationError(
         f"no composition satisfying {sorted(x.value for x in spec.constraints)} "
-        f"within {retry_cap} attempts for spec {spec}"
+        f"within {RETRY_CAP} attempts for spec {spec}"
     )
 
 
-def generate(spec: GenSpec, retry_cap: int = DEFAULT_RETRY_CAP) -> Digraph | Composition:
+def generate(spec: GenSpec) -> Digraph | Composition:
     """Dispatch on the spec: a composition when t (or kind COMPOSITION) is
     given, else a plain digraph of the requested kind. Plain digraphs with
     constraints are drawn by rejection over derived attempt seeds; without
     constraints the seed feeds the generator directly."""
     if spec.kind is Kind.COMPOSITION or spec.t is not None:
-        return random_composition(spec, retry_cap)
+        return random_composition(spec)
     if spec.n is None:
         raise PreconditionError("plain digraph generation needs n")
     if not spec.constraints:
         return _outer_for(spec, spec.n, spec.seed)
-    for attempt in range(retry_cap):
+    for attempt in range(RETRY_CAP):
         d = _outer_for(spec, spec.n, derive(spec.seed, attempt))
         if _satisfies(d, spec.constraints):
             return d
     raise GenerationError(
         f"no digraph satisfying {sorted(x.value for x in spec.constraints)} "
-        f"within {retry_cap} attempts for spec {spec}"
+        f"within {RETRY_CAP} attempts for spec {spec}"
     )
 
 

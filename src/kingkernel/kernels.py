@@ -141,11 +141,9 @@ def disjoint_quasi_kernels(
     outer digraph has no sink: quasi-kernels of two distinct factors whose
     outer vertices absorb the outer digraph within two steps, lifted to flat
     ids. Both certificates are validated against the flattened digraph."""
-    profile = require_semicomplete_composition(c)
-    if profile.outer_sinks:
-        raise PreconditionError(
-            f"outer digraph has sink(s) {sorted(profile.outer_sinks)}"
-        )
+    sinks = require_semicomplete_composition(c).sinks
+    if sinks:
+        raise PreconditionError(f"outer digraph has sink(s) {sorted(sinks)}")
     witnesses = sorted(singleton_quasi_kernels(c.outer))
     first, second = witnesses[0], witnesses[1]
     q = flatten(c)

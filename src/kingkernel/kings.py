@@ -103,11 +103,6 @@ def k_kings(d: Digraph, k: int) -> KingReport:
     return KingReport(k=k, kings=kings, strict=strict, ecc_out=tuple(eccs))
 
 
-def non_kings(d: Digraph) -> frozenset[int]:
-    """Vertices that are not 3-kings."""
-    return frozenset(range(d.n)) - k_kings(d, 3).kings
-
-
 def composition_has_k_king(c: Composition, k: int) -> CompositionKingWitness:
     """Whether the flattened composition has a k-king, decided without
     flattening: it does exactly when some k-king u_i of the outer digraph

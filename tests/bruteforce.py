@@ -1,7 +1,7 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes answers by a different route than the library:
-relaxation instead of BFS, closure matrices instead of Tarjan, path
+relaxation instead of BFS, closure matrices instead of mask searches, path
 enumeration instead of distance arithmetic, and the definitional double loop
 instead of offset bookkeeping. Slow on purpose; used only on small inputs.
 """
@@ -50,17 +50,6 @@ def brute_components(d: Digraph) -> list[set[int]]:
         comps.append(comp)
         seen |= comp
     return comps
-
-
-def brute_initial_components(d: Digraph) -> set[int]:
-    comps = brute_components(d)
-    where = {v: i for i, comp in enumerate(comps) for v in comp}
-    initial = set(range(len(comps)))
-    for u in range(d.n):
-        for v in d.out_adj[u]:
-            if where[u] != where[v]:
-                initial.discard(where[v])
-    return initial
 
 
 def brute_min_cycle_through(d: Digraph, v: int) -> float:

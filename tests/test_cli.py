@@ -8,9 +8,9 @@ import sys
 import jsonschema
 import pytest
 
-from kingkernel import TheoremViolation, build_digraph, compose, schemas
+from kingkernel import TheoremViolation, build_digraph, compose, flatten, k_kings, schemas
 from kingkernel.cli import main
-from kingkernel.experiments import ExperimentResult
+from kingkernel.experiments import ExperimentResult, path_like_tournament
 from kingkernel.fileformat import (
     composition_from_json,
     format_composition,
@@ -128,6 +128,19 @@ class TestClassify:
         assert set(payload["factors"]) == {"1", "2", "3"}
         assert set(payload["factors"].values()) <= {"ALL", "NONE"}
         assert payload["three_kings"] == sorted(payload["three_kings"])
+
+    def test_three_kings_are_the_flat_three_kings(self, capsys, tmp_path):
+        # over path_like_tournament(5) outer vertex 0 is no 3-king, so the
+        # listed flat ids must skip a whole NONE factor
+        factors = tuple(build_digraph(h, [(0, 1)] if h > 1 else []) for h in (2, 1, 3, 2, 1))
+        c = compose(path_like_tournament(5), factors)
+        path = tmp_path / "pathlike.cmp"
+        path.write_text(format_composition(c), encoding="utf-8")
+        code, payload = run_json(capsys, "classify", str(path))
+        assert code == 0
+        checked(payload, "classify-composition")
+        assert "NONE" in payload["factors"].values()
+        assert payload["three_kings"] == sorted(k_kings(flatten(c), 3).kings)
 
     def test_non_strong_composition_is_refused(self, capsys, transitive_composition_file):
         code, _, err = run_cli(capsys, "classify", transitive_composition_file)
@@ -384,6 +397,34 @@ class TestValidate:
         assert payload["arc_formula_ok"] is True
         assert payload["total_vertices"] == 5
         assert payload["flat_arc_count"] == 1 + (2 + 2 + 4)
+
+    @pytest.mark.parametrize(
+        ("arcs", "semicomplete", "strong_semicomplete"),
+        [
+            ([(0, 1), (1, 2), (2, 0)], True, True),
+            ([(0, 1), (0, 2), (1, 2)], True, False),
+            ([], False, False),
+        ],
+        ids=["strong", "transitive", "arcless"],
+    )
+    def test_composition_keys_follow_the_outer(
+        self, capsys, tmp_path, arcs, semicomplete, strong_semicomplete
+    ):
+        factors = (build_digraph(2, [(0, 1)]), build_digraph(1, []), build_digraph(2, []))
+        path = tmp_path / "outer.cmp"
+        path.write_text(
+            format_composition(compose(build_digraph(3, arcs), factors)), encoding="utf-8"
+        )
+        code, payload = run_json(capsys, "validate", str(path))
+        assert code == 0
+        checked(payload, "validate-composition")
+        assert payload["semicomplete_composition"] is semicomplete
+        assert payload["strong_semicomplete_composition"] is strong_semicomplete
+        code, out, _ = run_cli(capsys, "--format", "text", "validate", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert f"semicomplete composition: {semicomplete}" in lines
+        assert f"strong semicomplete composition: {strong_semicomplete}" in lines
 
     def test_dot_export(self, capsys, three_cycle_file, tmp_path):
         dot = tmp_path / "cycle.dot"

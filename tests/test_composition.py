@@ -8,10 +8,12 @@ import pytest
 from kingkernel import (
     PreconditionError,
     build_digraph,
+    classify_digraph,
     compose,
-    composition_profile,
     extension,
     flatten,
+    require_semicomplete_composition,
+    require_strong_semicomplete_composition,
 )
 from bruteforce import brute_flat_arcs
 
@@ -118,18 +120,33 @@ class TestFlatten:
 
 
 class TestProfile:
+    """The require_* checks return the outer digraph's classification or
+    refuse the composition."""
+
     def test_two_cycle_outer_is_strong_semicomplete(self):
-        profile = composition_profile(compose(two_cycle(), singletons(2)))
-        assert profile.outer_semicomplete
-        assert profile.is_strong_semicomplete_composition
+        c = compose(two_cycle(), singletons(2))
+        cls = require_strong_semicomplete_composition(c)
+        assert cls == classify_digraph(c.outer)
+        assert cls.is_semicomplete and cls.is_strong
+        assert require_semicomplete_composition(c) == cls
 
     def test_transitive_triangle_outer_has_a_source(self):
         outer = build_digraph(3, [(0, 1), (0, 2), (1, 2)])
-        profile = composition_profile(compose(outer, singletons(3)))
-        assert profile.outer_semicomplete
-        assert not profile.is_strong_semicomplete_composition
-        assert profile.outer_sources == frozenset({0})
+        c = compose(outer, singletons(3))
+        cls = require_semicomplete_composition(c)
+        assert cls == classify_digraph(outer)
+        assert cls.sources == frozenset({0})
+        assert cls.sinks == frozenset({2})
+        with pytest.raises(PreconditionError, match="^outer digraph is not strong$"):
+            require_strong_semicomplete_composition(c)
 
     def test_arcless_outer_is_not_semicomplete(self):
-        profile = composition_profile(compose(build_digraph(2, []), singletons(2)))
-        assert not profile.outer_semicomplete
+        c = compose(build_digraph(2, []), singletons(2))
+        for require in (
+            require_semicomplete_composition,
+            require_strong_semicomplete_composition,
+        ):
+            with pytest.raises(
+                PreconditionError, match="^outer digraph is not semicomplete$"
+            ):
+                require(c)

@@ -19,7 +19,6 @@ from kingkernel import (
     is_strong,
     min_cycle_length_through,
     out_eccentricities,
-    strong_decomposition,
 )
 from kingkernel.gen import random_digraph
 
@@ -138,22 +137,7 @@ class TestEccentricities:
 
 
 class TestStrongDecomposition:
-    def test_cycle_is_one_initial_component(self):
-        dec = strong_decomposition(cycle(3))
-        assert dec.components == ({0, 1, 2},)
-        assert dec.initial_ids == frozenset({0})
-
-    def test_path_splits_into_singletons(self):
-        dec = strong_decomposition(path(3))
-        assert dec.components == ({0}, {1}, {2})
-        assert dec.initial_ids == frozenset({0})
-        assert [dec.component_of[v] for v in range(3)] == [0, 1, 2]
-
-    def test_two_cycle_with_tail(self):
-        d = build_digraph(3, [(0, 1), (1, 0), (1, 2)])
-        dec = strong_decomposition(d)
-        assert dec.components == ({0, 1}, {2})
-        assert dec.initial_ids == frozenset({0})
+    """is_strong: whether the strong decomposition is a single component."""
 
     def test_is_strong_shortcuts(self):
         assert is_strong(build_digraph(0, []))

@@ -19,7 +19,6 @@ from kingkernel import (
     is_strong,
     k_kings,
     mix64,
-    strong_decomposition,
 )
 from kingkernel.fileformat import format_composition, format_digraph
 from kingkernel.gen import (
@@ -30,6 +29,7 @@ from kingkernel.gen import (
     random_tournament,
     unique_three_king_fixture,
 )
+from bruteforce import brute_components
 
 TOURNAMENT_5_42_SHA = "94fd33823740cb07680d0fcb483fd6d234ff69e4e2f4859e164d92896a8d684a"
 COMPOSITION_PIN_SHA = "2c51cf4d11cfb0dd5637681c67c54c0d99030afdfd6c4a2b3b8877bfaf1c869f"
@@ -198,4 +198,4 @@ class TestUniqueThreeKingFixture:
         cls = classify_digraph(c.outer)
         assert cls.is_semicomplete
         assert not cls.is_strong
-        assert len(strong_decomposition(flatten(c)).components) > 1
+        assert len(brute_components(flatten(c))) > 1

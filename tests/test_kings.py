@@ -20,7 +20,6 @@ from kingkernel import (
     four_king_bound_report,
     k_kings,
     non_king_dominator_witness,
-    non_kings,
     out_eccentricities,
 )
 from kingkernel.experiments import path_like_tournament
@@ -70,14 +69,18 @@ class TestKKings:
 
 
 class TestNonKings:
+    """Non-kings are the vertices outside the 3-king set."""
+
     def test_three_cycle_has_none(self):
-        assert non_kings(build_digraph(3, THREE_CYCLE)) == frozenset()
+        assert k_kings(build_digraph(3, THREE_CYCLE), 3).kings == frozenset({0, 1, 2})
 
     def test_path_tail_cannot_reach_back(self):
-        assert non_kings(build_digraph(3, [(0, 1), (1, 2)])) == frozenset({1, 2})
+        d = build_digraph(3, [(0, 1), (1, 2)])
+        assert frozenset(range(3)) - k_kings(d, 3).kings == frozenset({1, 2})
 
     def test_transitive_triangle(self):
-        assert non_kings(build_digraph(3, TRANSITIVE)) == frozenset({1, 2})
+        d = build_digraph(3, TRANSITIVE)
+        assert frozenset(range(3)) - k_kings(d, 3).kings == frozenset({1, 2})
 
 
 class TestExistenceCharacterization:
