@@ -92,19 +92,24 @@ def compose(outer: Digraph, factors: tuple[Digraph, ...] | list[Digraph]) -> Com
 def flatten(c: Composition) -> Digraph:
     """The composed digraph on sum(|V(H_i)|) vertices, factor blocks laid out
     in order: internal arcs shifted by the factor offset, plus a complete
-    bundle V(H_i) x V(H_j) for every outer arc u_i -> u_j."""
+    bundle V(H_i) x V(H_j) for every outer arc u_i -> u_j.
+
+    Built on masks: a vertex of factor i has its factor mask shifted to the
+    block, ORed with the union of the blocks u_i points to (out) or that
+    point to u_i (in)."""
     offs = c.offsets
-    arcs: list[tuple[int, int]] = []
+    blocks = [((1 << h.n) - 1) << offs[i] for i, h in enumerate(c.factors)]
+    out_bundle = [0] * c.t
+    in_bundle = [0] * c.t
+    for i, j in c.outer.arcs():
+        out_bundle[i] |= blocks[j]
+        in_bundle[j] |= blocks[i]
+    out: list[int] = []
+    inn: list[int] = []
     for i, h in enumerate(c.factors):
-        base = offs[i]
-        for u, v in h.arcs():
-            arcs.append((base + u, base + v))
-    for i in range(c.t):
-        for j in c.outer.out_adj[i]:
-            for u in range(c.factors[i].n):
-                for v in range(c.factors[j].n):
-                    arcs.append((offs[i] + u, offs[j] + v))
-    return build_digraph(c.total_vertices, arcs)
+        out.extend(mask << offs[i] | out_bundle[i] for mask in h.out_masks)
+        inn.extend(mask << offs[i] | in_bundle[i] for mask in h.in_masks)
+    return Digraph(n=c.total_vertices, out_masks=tuple(out), in_masks=tuple(inn))
 
 
 def require_semicomplete_composition(c: Composition) -> DigraphClass:

@@ -4,20 +4,23 @@ Digraphs are loopless and use vertex ids 0..n-1. Parallel arcs collapse; the
 pair of opposite arcs (u, v), (v, u) is allowed and is how 2-cycles and
 bidirected edges are modelled.
 
-Every distance question runs on one bitset BFS core. Each digraph caches its
-adjacency as Python-int masks (bit v of out_masks[u] is set iff u -> v), and
-`_levels` expands a frontier mask one level at a time by OR-ing the masks of
-its vertices. Callers stop consuming levels when they have their answer: the
-distance lists, eccentricities and the strong-connectivity test walk every
-level, the shortest cycle stops where the start vertex reappears, and
-`_ball` stops at a depth bound, or earlier once every vertex is reached.
+A digraph is stored as its adjacency masks and nothing else: Python ints
+where bit v of out_masks[u], and bit u of in_masks[v], is set iff u -> v.
+`build_digraph` ORs them together once from an arc list (and
+`composition.flatten` from block masks); every query reads them.
+
+Every distance question runs on one bitset BFS core. `_levels` expands a
+frontier mask one level at a time by OR-ing the masks of its vertices.
+Callers stop consuming levels when they have their answer: the distance
+lists, eccentricities and the strong-connectivity test walk every level, the
+shortest cycle stops where the start vertex reappears, and `_ball` stops at
+a depth bound, or earlier once every vertex is reached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError
@@ -31,54 +34,33 @@ Dist = int | float
 
 @dataclass(frozen=True)
 class Digraph:
-    """Immutable digraph with both adjacency directions precomputed."""
+    """Immutable digraph as adjacency bitmasks: bit v of out_masks[u], and
+    bit u of in_masks[v], is set iff u -> v."""
 
     n: int
-    out_adj: tuple[frozenset[int], ...]
-    in_adj: tuple[frozenset[int], ...]
+    out_masks: tuple[int, ...]
+    in_masks: tuple[int, ...]
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         """Arcs in sorted order; deterministic across runs."""
-        for u in range(self.n):
-            for v in sorted(self.out_adj[u]):
-                yield (u, v)
+        for u, mask in enumerate(self.out_masks):
+            while mask:
+                low = mask & -mask
+                yield (u, low.bit_length() - 1)
+                mask ^= low
 
     @property
     def arc_count(self) -> int:
-        return sum(len(s) for s in self.out_adj)
+        return sum(mask.bit_count() for mask in self.out_masks)
 
     def has_arc(self, u: int, v: int) -> bool:
-        return v in self.out_adj[u]
+        return bool(self.out_masks[u] >> v & 1)
 
     def out_degree(self, u: int) -> int:
-        return len(self.out_adj[u])
+        return self.out_masks[u].bit_count()
 
     def in_degree(self, u: int) -> int:
-        return len(self.in_adj[u])
-
-    # The masks are cached per instance, outside the dataclass fields, so
-    # equality and hashing still see only n and the adjacency sets.
-
-    @cached_property
-    def out_masks(self) -> tuple[int, ...]:
-        """Out-neighbourhoods as bitmasks: bit v of entry u is set iff u -> v."""
-        return _masks(self.out_adj)
-
-    @cached_property
-    def in_masks(self) -> tuple[int, ...]:
-        """In-neighbourhoods as bitmasks: bit u of entry v is set iff u -> v."""
-        return _masks(self.in_adj)
-
-
-def _masks(adj: tuple[frozenset[int], ...]) -> tuple[int, ...]:
-    """Adjacency sets as bitmasks: bit v of entry u is set iff v in adj[u]."""
-    masks = []
-    for vertices in adj:
-        mask = 0
-        for v in vertices:
-            mask |= 1 << v
-        masks.append(mask)
-    return tuple(masks)
+        return self.in_masks[u].bit_count()
 
 
 @dataclass(frozen=True)
@@ -97,20 +79,16 @@ def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     """Construct a digraph, rejecting loops and out-of-range endpoints."""
     if n < 0:
         raise PreconditionError(f"vertex count must be nonnegative, got {n}")
-    out: list[set[int]] = [set() for _ in range(n)]
-    inn: list[set[int]] = [set() for _ in range(n)]
+    out = [0] * n
+    inn = [0] * n
     for u, v in arcs:
         if not (0 <= u < n and 0 <= v < n):
             raise PreconditionError(f"arc ({u}, {v}) out of range for n={n}")
         if u == v:
             raise PreconditionError(f"loop arc ({u}, {v}) not allowed")
-        out[u].add(v)
-        inn[v].add(u)
-    return Digraph(
-        n=n,
-        out_adj=tuple(frozenset(s) for s in out),
-        in_adj=tuple(frozenset(s) for s in inn),
-    )
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    return Digraph(n=n, out_masks=tuple(out), in_masks=tuple(inn))
 
 
 def _source_mask(n: int, sources: Iterable[int]) -> int:
@@ -200,8 +178,8 @@ def out_eccentricities(d: Digraph) -> list[Dist]:
 
 
 def converse(d: Digraph) -> Digraph:
-    """Reverse every arc. The adjacency sets are swapped, not copied."""
-    return Digraph(n=d.n, out_adj=d.in_adj, in_adj=d.out_adj)
+    """Reverse every arc. The two mask tuples are swapped, not copied."""
+    return Digraph(n=d.n, out_masks=d.in_masks, in_masks=d.out_masks)
 
 
 def is_strong(d: Digraph) -> bool:
@@ -221,8 +199,8 @@ def classify_digraph(d: Digraph) -> DigraphClass:
     outs, ins = d.out_masks, d.in_masks
     semicomplete = all(outs[u] | ins[u] | 1 << u == full for u in range(d.n))
     tournament = semicomplete and not any(outs[u] & ins[u] for u in range(d.n))
-    sources = frozenset(v for v in range(d.n) if not d.in_adj[v])
-    sinks = frozenset(v for v in range(d.n) if not d.out_adj[v])
+    sources = frozenset(v for v in range(d.n) if not ins[v])
+    sinks = frozenset(v for v in range(d.n) if not outs[v])
     return DigraphClass(
         is_semicomplete=semicomplete,
         is_tournament=tournament,
@@ -250,10 +228,5 @@ def induced_subdigraph(d: Digraph, keep: Iterable[int]) -> tuple[Digraph, dict[i
     """Induced subdigraph on `keep`, plus the old-id -> new-id map."""
     kept = sorted(set(keep))
     new_id = {old: i for i, old in enumerate(kept)}
-    arcs = [
-        (new_id[u], new_id[v])
-        for u in kept
-        for v in d.out_adj[u]
-        if v in new_id
-    ]
+    arcs = [(new_id[u], new_id[v]) for u in kept for v in kept if d.has_arc(u, v)]
     return build_digraph(len(kept), arcs), new_id

@@ -154,18 +154,15 @@ def _corpus_composition(
     idx: int,
     kinds: tuple[Kind, ...],
     t_lo: int = 2,
-    t_hi: int = 5,
-    size_lo: int = 1,
-    size_hi: int = 3,
     max_total: int = 12,
     min_total: int | None = None,
     constraints: frozenset[Constraint] = frozenset(),
-    p2: float = 0.3,
 ) -> Composition:
     """One deterministic corpus instance: outer kind cycles with idx, the
-    rest is drawn from streams derived from (seed, idx)."""
+    rest is drawn from streams derived from (seed, idx). The outer has t_lo
+    to 5 vertices, each factor 1 to 3."""
     meta = SplitMix64(derive(seed, idx))
-    t = meta.randint(t_lo, t_hi)
+    t = meta.randint(t_lo, 5)
     p = (0.2, 0.5, 0.8)[meta.randint(0, 2)]
     kind = kinds[idx % len(kinds)]
     # a 2-vertex tournament has a sink, a source, and is not strong, so
@@ -177,10 +174,10 @@ def _corpus_composition(
             seed=derive(seed, idx, attempt),
             kind=kind,
             t=t,
-            size_min=size_lo,
-            size_max=size_hi,
+            size_min=1,
+            size_max=3,
             p=p,
-            p2=p2,
+            p2=0.3,
             constraints=constraints,
         )
         c = random_composition(spec)
@@ -290,7 +287,7 @@ def nonking_witness(
                 continue
             if eccs[v] > 3:
                 res.record(f"witness {v} for {u} is not a 3-king", c)
-            elif u not in q.out_adj[v]:
+            elif not q.has_arc(v, u):
                 res.record(f"witness {v} does not dominate {u}", c)
             elif distances_from(q, u)[v] <= 3:
                 res.record(f"witness {v} is within distance 3 of {u}", c)
@@ -314,7 +311,7 @@ def _establishable_outers(seed: int, needed: int) -> tuple[list[Digraph], dict[s
             if any(e == UNREACHABLE for e in eccs) or not strict3:
                 continue
             if any(
-                e <= 2 and not (d.in_adj[v] & strict3)
+                e <= 2 and not any(d.has_arc(s, v) for s in strict3)
                 for v, e in enumerate(eccs)
             ):
                 continue
@@ -621,7 +618,7 @@ def fixture_regression(
     res.instances, res.checks = 1, 4
     c = unique_three_king_fixture()
     q = flatten(c)
-    if any(not q.in_adj[v] for v in range(q.n)):
+    if not all(q.in_masks):
         res.record("flattened fixture has a source", c)
     if not classify_digraph(c.outer).sources:
         res.record("outer digraph of the fixture has no source", c)

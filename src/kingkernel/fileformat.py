@@ -164,11 +164,17 @@ def composition_to_json(c: Composition) -> dict[str, Any]:
     }
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer. bool is an int subclass, but true and false are not
+    vertex counts or vertex ids."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _digraph_from_obj(obj: Any, what: str) -> Digraph:
     if not isinstance(obj, dict) or "n" not in obj or "arcs" not in obj:
         raise FormatError(f"{what} must be an object with 'n' and 'arcs'")
     n = obj["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise FormatError(f"{what}: 'n' must be an integer, got {n!r}")
     arcs = obj["arcs"]
     if not isinstance(arcs, list):
@@ -178,7 +184,7 @@ def _digraph_from_obj(obj: Any, what: str) -> Digraph:
         if (
             not isinstance(arc, list)
             or len(arc) != 2
-            or not all(isinstance(x, int) for x in arc)
+            or not all(_is_int(x) for x in arc)
         ):
             raise FormatError(f"{what}: bad arc entry {arc!r}")
         pairs.append((arc[0], arc[1]))

@@ -66,9 +66,9 @@ def validate_certificate(d: Digraph, cert: KernelCertificate) -> bool:
     members = sorted(cert.vertices)
     inside = set(members)
     if cert.kind is CertificateKind.QUASI_KERNEL:
-        for u in members:
-            if d.out_adj[u] & inside:
-                return False
+        mask = sum(1 << v for v in members)
+        if any(d.out_masks[u] & mask for u in members):
+            return False
         into = distances_to_set(d, members)
         return all(into[x] <= 2 for x in range(d.n) if x not in inside)
     if cert.k is None or cert.k < 2:
@@ -91,20 +91,19 @@ def quasi_kernel(d: Digraph) -> KernelCertificate:
     pivot exactly when none of its out-neighbors was kept later. The result
     is re-validated before being returned.
     """
-    alive = set(range(d.n))
+    alive = (1 << d.n) - 1
     pivots: list[int] = []
     while alive:
-        v = min(alive)
+        v = (alive & -alive).bit_length() - 1
         pivots.append(v)
-        alive -= d.in_adj[v]
-        alive.discard(v)
-    chosen: set[int] = set()
+        alive &= ~(d.in_masks[v] | 1 << v)
+    chosen = 0
     for v in reversed(pivots):
-        if not (d.out_adj[v] & chosen):
-            chosen.add(v)
+        if not d.out_masks[v] & chosen:
+            chosen |= 1 << v
     cert = KernelCertificate(
         kind=CertificateKind.QUASI_KERNEL,
-        vertices=frozenset(chosen),
+        vertices=frozenset(v for v in reversed(pivots) if chosen >> v & 1),
         k=None,
         validated=False,
     )

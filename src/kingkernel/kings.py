@@ -218,7 +218,8 @@ def can_establish(t: Digraph) -> EstablishReport:
     eccs = out_eccentricities(t)
     strict3 = frozenset(v for v in range(t.n) if eccs[v] == 3)
     two = frozenset(v for v in range(t.n) if eccs[v] <= 2)
-    blocking = frozenset(v for v in two if not (t.in_adj[v] & strict3))
+    strict3_mask = sum(1 << v for v in strict3)
+    blocking = frozenset(v for v in two if not t.in_masks[v] & strict3_mask)
     return EstablishReport(
         ok=bool(strict3) and not blocking,
         strict_three_kings=strict3,

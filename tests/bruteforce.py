@@ -15,20 +15,20 @@ INF = float("inf")
 
 def brute_distances(d: Digraph, s: int) -> list[float]:
     """Shortest path lengths from s by Bellman-Ford relaxation."""
+    arcs = list(d.arcs())
     dist = [INF] * d.n
     dist[s] = 0
     for _ in range(d.n):
-        for u in range(d.n):
-            for v in d.out_adj[u]:
-                if dist[u] + 1 < dist[v]:
-                    dist[v] = dist[u] + 1
+        for u, v in arcs:
+            if dist[u] + 1 < dist[v]:
+                dist[v] = dist[u] + 1
     return dist
 
 
 def reachability_matrix(d: Digraph) -> list[list[bool]]:
     """Reflexive transitive closure by Floyd-Warshall style sweeps."""
     n = d.n
-    reach = [[u == v or v in d.out_adj[u] for v in range(n)] for u in range(n)]
+    reach = [[u == v or d.has_arc(u, v) for v in range(n)] for u in range(n)]
     for mid in range(n):
         row_mid = reach[mid]
         for u in range(n):
@@ -60,7 +60,9 @@ def brute_min_cycle_through(d: Digraph, v: int) -> float:
         nonlocal best
         if length + 1 >= best:
             return
-        for w in d.out_adj[u]:
+        for w in range(d.n):
+            if not d.has_arc(u, w):
+                continue
             if w == v:
                 best = min(best, length + 1)
             elif w not in visited:
@@ -88,9 +90,9 @@ def brute_flat_arcs(c: Composition) -> set[tuple[int, int]]:
             if (i, j) == (p, q):
                 continue
             if i == p:
-                present = q in c.factors[i].out_adj[j]
+                present = c.factors[i].has_arc(j, q)
             else:
-                present = p in c.outer.out_adj[i]
+                present = c.outer.has_arc(i, p)
             if present:
                 arcs.add((c.flat_id(i, j), c.flat_id(p, q)))
     return arcs
@@ -99,7 +101,7 @@ def brute_flat_arcs(c: Composition) -> set[tuple[int, int]]:
 def brute_is_quasi_kernel(d: Digraph, vertices: set[int]) -> bool:
     for u in vertices:
         for v in vertices:
-            if u != v and v in d.out_adj[u]:
+            if u != v and d.has_arc(u, v):
                 return False
     for x in range(d.n):
         if x in vertices:

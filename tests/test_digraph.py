@@ -41,8 +41,8 @@ class TestBuild:
 
     def test_two_cycle_mirrors_adjacency(self):
         d = build_digraph(2, [(0, 1), (1, 0)])
-        assert d.out_adj[0] == {1}
-        assert d.in_adj[0] == {1}
+        assert d.out_masks[0] == 0b10
+        assert d.in_masks[0] == 0b10
 
     def test_duplicate_arcs_collapse(self):
         d = build_digraph(3, [(0, 1), (0, 1), (1, 2)])
@@ -60,9 +60,8 @@ class TestBuild:
 
     def test_mirror_consistency(self):
         d = build_digraph(4, [(0, 1), (2, 1), (3, 0), (1, 3)])
-        for u in range(4):
-            for v in d.out_adj[u]:
-                assert u in d.in_adj[v]
+        for u, v in d.arcs():
+            assert d.in_masks[v] >> u & 1
         assert list(d.arcs()) == [(0, 1), (1, 3), (2, 1), (3, 0)]
 
     def test_cached_masks_leave_value_semantics_alone(self):
@@ -73,7 +72,7 @@ class TestBuild:
         assert a.in_masks == (0b100, 0b001, 0b011)
         assert a == b
         assert hash(a) == hash(b) == before
-        assert [f.name for f in dataclasses.fields(Digraph)] == ["n", "out_adj", "in_adj"]
+        assert [f.name for f in dataclasses.fields(Digraph)] == ["n", "out_masks", "in_masks"]
 
 
 class TestDistances:
@@ -123,6 +122,20 @@ class TestMultiWordMasks:
         assert out_eccentricities(self.d) == [
             max(brute_distances(self.d, s)) for s in range(self.d.n)
         ]
+
+    def test_arcs_and_degrees_match_the_arc_list(self):
+        # endpoints on both sides of each 64-bit word boundary, one duplicate
+        arcs = [
+            (0, 63), (63, 64), (64, 127), (127, 128), (128, 129), (129, 0),
+            (0, 129), (64, 0), (128, 63), (63, 64), (5, 128), (127, 5),
+        ]
+        d = build_digraph(130, arcs)
+        distinct = sorted(set(arcs))
+        assert list(d.arcs()) == distinct
+        assert d.arc_count == len(distinct) == len(arcs) - 1
+        for v in range(d.n):
+            assert d.out_degree(v) == sum(1 for a, _ in distinct if a == v)
+            assert d.in_degree(v) == sum(1 for _, b in distinct if b == v)
 
 
 class TestEccentricities:

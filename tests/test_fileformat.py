@@ -18,6 +18,7 @@ from kingkernel.fileformat import (
     parse_digraph,
     to_dot,
 )
+from kingkernel.cli import main
 from kingkernel.gen import random_composition, unique_three_king_fixture
 from kingkernel import GenSpec, Kind
 
@@ -113,6 +114,24 @@ class TestJson:
             digraph_from_json({"n": "three", "arcs": []})
         with pytest.raises(FormatError):
             composition_from_json({"t": 2, "outer": {}, "factors": "nope"})
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": true, "arcs": []}',
+            '{"n": 2, "arcs": [[true, 0]]}',
+            '{"n": 2, "arcs": [[1, false]]}',
+            '{"outer": {"n": 2, "arcs": [[0, 1]]},'
+            ' "factors": [{"n": true, "arcs": []}, {"n": 1, "arcs": []}]}',
+        ],
+    )
+    def test_booleans_are_not_integers(self, text, tmp_path, capsys):
+        with pytest.raises(FormatError, match="must be an integer|bad arc entry"):
+            parse_any(text)
+        path = tmp_path / "bool.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestParseAny:

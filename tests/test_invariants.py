@@ -197,6 +197,8 @@ class TestFlattening:
         q = flatten(c)
         assert q.n == sum(h.n for h in c.factors)
         assert set(q.arcs()) == brute_flat_arcs(c)
+        # flatten builds both mask tuples itself; the in-side must agree too
+        assert q == build_digraph(q.n, brute_flat_arcs(c))
 
     @settings(deadline=None, max_examples=60)
     @given(compositions())
