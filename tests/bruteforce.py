@@ -110,3 +110,19 @@ def brute_is_quasi_kernel(d: Digraph, vertices: set[int]) -> bool:
         if not any(dist[y] <= 2 for y in vertices):
             return False
     return True
+
+
+def brute_is_k_kernel(d: Digraph, vertices: set[int], k: int) -> bool:
+    """k-independent (every ordered pair of distinct members at distance at
+    least k) and (k-1)-absorbent (every outside vertex within k-1 steps of
+    some member), straight from Bellman-Ford distances."""
+    dist = [brute_distances(d, u) for u in range(d.n)]
+    for u in vertices:
+        for v in vertices:
+            if u != v and dist[u][v] < k:
+                return False
+    return all(
+        any(dist[x][y] <= k - 1 for y in vertices)
+        for x in range(d.n)
+        if x not in vertices
+    )

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kingkernel import (
     UNREACHABLE,
+    CertificateKind,
+    KernelCertificate,
     PreconditionError,
     build_digraph,
     c3_gadget,
@@ -52,6 +55,7 @@ from bruteforce import (
     brute_components,
     brute_distances,
     brute_flat_arcs,
+    brute_is_k_kernel,
     brute_is_quasi_kernel,
     brute_k_kings,
     brute_min_cycle_through,
@@ -431,6 +435,29 @@ class TestKernelConstructions:
         direct = k_kernel_brute_force(d, 3)
         lifted = k_kernel_brute_force(flatten(c3_gadget(d)), 3)
         assert (direct is not None) == (lifted is not None)
+
+
+class TestCertificateCheck:
+    @settings(deadline=None, max_examples=100)
+    @given(digraphs(), st.data())
+    def test_check_matches_the_definition_on_any_claimed_set(self, d, data):
+        # claimed sets are arbitrary, so the reject side is exercised too; on
+        # up to six vertices every subset is claimed
+        everyone = range(d.n)
+        if d.n <= 6:
+            claims = [set(c) for size in range(d.n + 1) for c in combinations(everyone, size)]
+        else:
+            claims = [set(), set(everyone), data.draw(st.sets(st.sampled_from(everyone)))]
+        for vertices in claims:
+            for k in (None, 2, 3, 4, 5):
+                kind = CertificateKind.QUASI_KERNEL if k is None else CertificateKind.K_KERNEL
+                cert = KernelCertificate(kind, frozenset(vertices), k, validated=False)
+                expected = (
+                    brute_is_quasi_kernel(d, vertices)
+                    if k is None
+                    else brute_is_k_kernel(d, vertices, k)
+                )
+                assert validate_certificate(d, cert) == expected
 
 
 class TestRoundTrips:
