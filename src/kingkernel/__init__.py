@@ -25,7 +25,6 @@ from .digraph import (
     converse,
     distances_from,
     distances_to,
-    distances_to_set,
     induced_subdigraph,
     is_strong,
     min_cycle_length_through,
@@ -103,7 +102,6 @@ __all__ = [
     "disjoint_quasi_kernels",
     "distances_from",
     "distances_to",
-    "distances_to_set",
     "establish",
     "extension",
     "flatten",

@@ -356,7 +356,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     runner = EXPERIMENTS[args.name]
-    result = runner(seed=args.seed, instances=args.seeds, max_n=args.max_n)
+    result = runner(seed=args.seed, instances=args.seeds)
     payload = result.to_json()
     lines = [
         f"experiment: {result.name}",
@@ -503,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=sorted(EXPERIMENTS), help="experiment name")
     p.add_argument("--seeds", type=int, help="instance count override")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed")
-    p.add_argument("--max-n", type=int, help="size cap passed to the runner")
 
     p = add("validate", "parse a file and report what it contains", _cmd_validate)
     p.add_argument("input", help="input file, or - for stdin")

@@ -12,9 +12,15 @@ where bit v of out_masks[u], and bit u of in_masks[v], is set iff u -> v.
 Every distance question runs on one bitset BFS core. `_levels` expands a
 frontier mask one level at a time by OR-ing the masks of its vertices.
 Callers stop consuming levels when they have their answer: the distance
-lists, eccentricities and the strong-connectivity test walk every level, the
-shortest cycle stops where the start vertex reappears, and `_ball` stops at
-a depth bound, or earlier once every vertex is reached.
+lists, eccentricities and the strong-connectivity test walk every level, and
+the shortest cycle stops where the start vertex reappears.
+
+Every "within j steps" question goes through one depth-bounded primitive,
+`_reach(masks, sources, depth)`: the mask of vertices within `depth` steps
+of a source mask, along out_masks (out-reach) or in_masks (in-reach). A
+k-king is a vertex whose out-reach of radius k is every vertex; a set is
+j-independent when no member's out-reach of radius j-1 holds another member,
+and a-absorbent when its in-reach of radius a is every vertex.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ class Digraph:
         return sum(mask.bit_count() for mask in self.out_masks)
 
     def has_arc(self, u: int, v: int) -> bool:
+        u, v = _check_vertex(self.n, u), _check_vertex(self.n, v)
         return bool(self.out_masks[u] >> v & 1)
 
     def out_degree(self, u: int) -> int:
@@ -91,14 +98,11 @@ def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     return Digraph(n=n, out_masks=tuple(out), in_masks=tuple(inn))
 
 
-def _source_mask(n: int, sources: Iterable[int]) -> int:
-    """Bitmask of the source vertices, each checked against range(n)."""
-    mask = 0
-    for s in sources:
-        if not 0 <= s < n:
-            raise PreconditionError(f"vertex {s} out of range for n={n}")
-        mask |= 1 << s
-    return mask
+def _check_vertex(n: int, v: int) -> int:
+    """v itself, once checked against range(n)."""
+    if not 0 <= v < n:
+        raise PreconditionError(f"vertex {v} out of range for n={n}")
+    return v
 
 
 def _levels(masks: tuple[int, ...], frontier: int) -> Iterator[int]:
@@ -118,12 +122,11 @@ def _levels(masks: tuple[int, ...], frontier: int) -> Iterator[int]:
         seen |= frontier
 
 
-def _bfs(masks: tuple[int, ...], sources: Iterable[int]) -> list[Dist]:
-    """Multi-source BFS along masks: entry v holds the fewest steps from the
-    source set to v, 0 on the sources."""
+def _bfs(masks: tuple[int, ...], source: int) -> list[Dist]:
+    """BFS along masks: entry v holds the fewest steps from source to v."""
     n = len(masks)
     dist: list[Dist] = [UNREACHABLE] * n
-    for level, frontier in enumerate(_levels(masks, _source_mask(n, sources))):
+    for level, frontier in enumerate(_levels(masks, 1 << _check_vertex(n, source))):
         while frontier:
             low = frontier & -frontier
             dist[low.bit_length() - 1] = level
@@ -131,37 +134,32 @@ def _bfs(masks: tuple[int, ...], sources: Iterable[int]) -> list[Dist]:
     return dist
 
 
-def _ball(masks: tuple[int, ...], s: int, depth: int) -> tuple[int, bool]:
-    """The mask of vertices within `depth` >= 1 steps of s along masks (s
-    included), and whether s lies on a cycle of length at most `depth`.
+def _reach(masks: tuple[int, ...], sources: int, depth: int) -> int:
+    """The mask of vertices within `depth` >= 0 steps of the vertex mask
+    `sources` along masks, sources included. It stops after `depth` levels,
+    or as soon as every vertex has been reached.
 
-    One BFS seeded with s's neighbours, so s is reached again exactly
-    through a short cycle. It stops after `depth` levels, or as soon as every
-    vertex, s included, has been reached."""
+    Seeded with a vertex s's out-neighbours and depth k-1, bit s of the
+    result says whether s lies on a cycle of length at most k, and the
+    result with s added is s's out-reach of radius k."""
     full = (1 << len(masks)) - 1
     reached = 0
-    for level, frontier in enumerate(_levels(masks, masks[s]), 1):
+    for level, frontier in enumerate(_levels(masks, sources)):
         reached |= frontier
         if level == depth or reached == full:
             break
-    return reached | (1 << s), bool(reached >> s & 1)
+    return reached
 
 
 def distances_from(d: Digraph, source: int) -> list[Dist]:
     """BFS out-distances from source; UNREACHABLE where no path exists."""
-    return _bfs(d.out_masks, (source,))
+    return _bfs(d.out_masks, source)
 
 
 def distances_to(d: Digraph, target: int) -> list[Dist]:
     """BFS over in-arcs: entry u holds the length of a shortest u -> target
     path. Equivalent to distances_from in the converse digraph."""
-    return _bfs(d.in_masks, (target,))
-
-
-def distances_to_set(d: Digraph, targets: Iterable[int]) -> list[Dist]:
-    """Multi-source variant of distances_to: shortest distance from each
-    vertex into the target set (0 on the set itself)."""
-    return _bfs(d.in_masks, targets)
+    return _bfs(d.in_masks, target)
 
 
 def out_eccentricities(d: Digraph) -> list[Dist]:
@@ -217,7 +215,7 @@ def min_cycle_length_through(d: Digraph, v: int) -> Dist:
     extended by a shortest w -> v path, so its length is the first level at
     which v is reached again.
     """
-    bit = _source_mask(d.n, (v,))
+    bit = 1 << _check_vertex(d.n, v)
     for length, frontier in enumerate(_levels(d.out_masks, d.out_masks[v]), 1):
         if frontier & bit:
             return length

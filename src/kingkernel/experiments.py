@@ -107,14 +107,13 @@ class ExperimentResult:
         }
 
 
-Body = Callable[[ExperimentResult, int, int, int | None], None]
+Body = Callable[[ExperimentResult, int, int], None]
 
 
 @dataclass(frozen=True)
 class Experiment:
     """A named corpus runner with the common call signature (seed,
-    instances, max_n); `body` fills in the result that the call builds and
-    times."""
+    instances); `body` fills in the result that the call builds and times."""
 
     name: str
     default_instances: int
@@ -124,13 +123,12 @@ class Experiment:
         self,
         seed: int = DEFAULT_SEED,
         instances: int | None = None,
-        max_n: int | None = None,
     ) -> ExperimentResult:
         res = ExperimentResult(self.name, 0, 0, 0)
         start = time.perf_counter()
         if instances is None:
             instances = self.default_instances
-        self.body(res, seed, instances, max_n)
+        self.body(res, seed, instances)
         res.elapsed_s = time.perf_counter() - start
         return res
 
@@ -154,13 +152,12 @@ def _corpus_composition(
     idx: int,
     kinds: tuple[Kind, ...],
     t_lo: int = 2,
-    max_total: int = 12,
     min_total: int | None = None,
     constraints: frozenset[Constraint] = frozenset(),
 ) -> Composition:
     """One deterministic corpus instance: outer kind cycles with idx, the
     rest is drawn from streams derived from (seed, idx). The outer has t_lo
-    to 5 vertices, each factor 1 to 3."""
+    to 5 vertices, each factor 1 to 3, and the flattening at most 12."""
     meta = SplitMix64(derive(seed, idx))
     t = meta.randint(t_lo, 5)
     p = (0.2, 0.5, 0.8)[meta.randint(0, 2)]
@@ -182,7 +179,7 @@ def _corpus_composition(
         )
         c = random_composition(spec)
         total = c.total_vertices
-        if total <= max_total and (min_total is None or total >= min_total):
+        if total <= 12 and (min_total is None or total >= min_total):
             return c
     raise GenerationError(
         f"no corpus instance within the size window for seed={seed} idx={idx}"
@@ -195,13 +192,12 @@ _SEMI_KINDS = (Kind.TOURNAMENT, Kind.SEMICOMPLETE)
 
 @_experiment("king-characterization", 2000)
 def king_characterization(
-    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+    res: ExperimentResult, seed: int, instances: int
 ) -> None:
     """Composition-level k-king decisions versus brute-force kings of the
     flattened digraph, for k in 2..6, on mixed outer kinds."""
-    max_total = 12 if max_n is None else max_n
     for idx in range(instances):
-        c = _corpus_composition(seed, idx, _MIXED_KINDS, max_total=max_total)
+        c = _corpus_composition(seed, idx, _MIXED_KINDS)
         res.instances += 1
         eccs = out_eccentricities(flatten(c))
         for k in range(2, 7):
@@ -223,17 +219,14 @@ def king_characterization(
 
 @_experiment("three-king-count", 2000)
 def three_king_count(
-    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+    res: ExperimentResult, seed: int, instances: int
 ) -> None:
     """Strong semicomplete compositions: at least two 3-kings, and the
     factor classification matches the brute-force 3-king set vertex by
     vertex."""
-    max_total = 12 if max_n is None else max_n
     strong = frozenset({Constraint.STRONG_OUTER})
     for idx in range(instances):
-        c = _corpus_composition(
-            seed, idx, _SEMI_KINDS, max_total=max_total, constraints=strong
-        )
+        c = _corpus_composition(seed, idx, _SEMI_KINDS, constraints=strong)
         res.instances += 1
         classification = classify_three_kings(c)
         claimed = classified_flat_three_kings(c, classification)
@@ -248,7 +241,7 @@ def three_king_count(
 
 @_experiment("nonking-witness", 400)
 def nonking_witness(
-    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+    res: ExperimentResult, seed: int, instances: int
 ) -> None:
     """Every non-king of a strong semicomplete composition is dominated by a
     3-king at distance more than 3. Half the corpus uses path-like outer
@@ -352,7 +345,7 @@ def _establishable_outers(seed: int, needed: int) -> tuple[list[Digraph], dict[s
 
 @_experiment("establishment", 50)
 def establishment(
-    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+    res: ExperimentResult, seed: int, instances: int
 ) -> None:
     """The establishment construction yields an extension whose 3-king set is
     exactly the original vertex set, re-verified here by direct
@@ -384,11 +377,10 @@ def establishment(
 
 @_experiment("four-king-bound", 2000)
 def four_king_bound(
-    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+    res: ExperimentResult, seed: int, instances: int
 ) -> None:
     """At least five 4-kings in every strong semicomplete composition on six
     or more vertices; the no-3-king clause is tracked as a conditional."""
-    max_total = 12 if max_n is None else max_n
     no_three_king_instances = 0
     for idx in range(instances):
         c = _corpus_composition(
@@ -396,7 +388,6 @@ def four_king_bound(
             idx,
             _SEMI_KINDS,
             t_lo=3,
-            max_total=max_total,
             min_total=6,
             constraints=frozenset({Constraint.STRONG_OUTER}),
         )
@@ -416,16 +407,15 @@ def four_king_bound(
 
 @_experiment("quasi-kernel", 5000)
 def quasi_kernel_validation(
-    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+    res: ExperimentResult, seed: int, instances: int
 ) -> None:
     """The constructed quasi-kernel validates on random digraphs across a
     spread of densities."""
-    top = 14 if max_n is None else max_n
     densities = (0.1, 0.3, 0.5, 0.8)
     for idx in range(instances):
         meta = SplitMix64(derive(seed, idx))
         d = random_digraph(
-            meta.randint(1, top), derive(seed, idx, 1), densities[idx % 4]
+            meta.randint(1, 14), derive(seed, idx, 1), densities[idx % 4]
         )
         res.instances += 1
         res.checks += 1
@@ -440,7 +430,7 @@ def quasi_kernel_validation(
 
 @_experiment("disjoint-quasi-kernels", 1000)
 def disjoint_quasi_kernel_pairs(
-    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+    res: ExperimentResult, seed: int, instances: int
 ) -> None:
     """Sink-free outer digraphs admit two disjoint quasi-kernels lifted from
     factors, and sink-free semicomplete digraphs have at least two singleton
@@ -499,17 +489,14 @@ def disjoint_quasi_kernel_pairs(
 
 @_experiment("kkernel-poly", 500)
 def kkernel_poly(
-    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+    res: ExperimentResult, seed: int, instances: int
 ) -> None:
     """Polynomial k-kernel decisions (k in 4..6) versus the subset-enumeration
     oracle on strong semicomplete compositions."""
-    max_total = 12 if max_n is None else max_n
     poly_elapsed = 0.0
     strong = frozenset({Constraint.STRONG_OUTER})
     for idx in range(instances):
-        c = _corpus_composition(
-            seed, idx, _SEMI_KINDS, max_total=max_total, constraints=strong
-        )
+        c = _corpus_composition(seed, idx, _SEMI_KINDS, constraints=strong)
         res.instances += 1
         q = flatten(c)
         for k in (4, 5, 6):
@@ -534,7 +521,7 @@ def kkernel_poly(
 
 @_experiment("kkernel-reduction", 200)
 def kkernel_reduction(
-    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+    res: ExperimentResult, seed: int, instances: int
 ) -> None:
     """3-kernel existence is preserved by the three-copy gadget, oracle
     checked on both sides (the gadget side runs on up to 12 vertices)."""
@@ -566,15 +553,14 @@ def kkernel_reduction(
 
 @_experiment("absorbent-transfer", 500)
 def absorbent_transfer(
-    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+    res: ExperimentResult, seed: int, instances: int
 ) -> None:
     """{v} is k-absorbent in the flattened composition with the rest of v's
     factor removed exactly when the factor's outer vertex is a k-absorbent
     singleton of the outer digraph; both sides computed independently for
     k in 3..5."""
-    max_total = 12 if max_n is None else max_n
     for idx in range(instances):
-        c = _corpus_composition(seed, idx, _MIXED_KINDS, max_total=max_total)
+        c = _corpus_composition(seed, idx, _MIXED_KINDS)
         res.instances += 1
         q = flatten(c)
         offs = c.offsets
@@ -610,7 +596,7 @@ def absorbent_transfer(
 
 @_experiment("fixture-regression", 1)
 def fixture_regression(
-    res: ExperimentResult, seed: int, instances: int, max_n: int | None
+    res: ExperimentResult, seed: int, instances: int
 ) -> None:
     """The pinned unique-3-king example keeps its four properties: no source
     in the flattened digraph, a source in the outer, flat vertex 3 as the

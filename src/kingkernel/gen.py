@@ -237,21 +237,19 @@ def generate(spec: GenSpec) -> Digraph | Composition:
     )
 
 
-def unique_three_king_fixture(literal_six: bool = False) -> Composition:
+def unique_three_king_fixture() -> Composition:
     """The pinned example showing a composition can have exactly one 3-king
     even though its flattening has no source: a transitive tournament on
     three outer vertices, a bidirected path as the first factor, singleton
     second and third factors. The path has 7 vertices so its midpoint (flat
-    id 3) is the unique 3-king; literal_six=True builds the 6-vertex variant,
-    whose path has no vertex within distance 3 of both ends, so its 3-king
-    is not unique."""
+    id 3) is the unique 3-king; on a 6-vertex path the two middle vertices
+    tie, so the 3-king would not be unique."""
     outer = build_digraph(3, [(0, 1), (0, 2), (1, 2)])
-    m = 6 if literal_six else 7
     path_arcs: list[tuple[int, int]] = []
-    for j in range(m - 1):
+    for j in range(6):
         path_arcs.append((j, j + 1))
         path_arcs.append((j + 1, j))
-    path = build_digraph(m, path_arcs)
+    path = build_digraph(7, path_arcs)
     singleton = build_digraph(1, [])
     return compose(outer, (path, singleton, singleton))
 

@@ -4,6 +4,12 @@ A quasi-kernel is an independent set with every outside vertex at distance
 at most 2 from it. A k-kernel is k-independent (pairwise distance at least k
 in both directions) and (k-1)-absorbent; a kernel is a 2-kernel.
 
+Both are checked by one rule: a set is j-independent when no member's
+out-reach of radius j-1 holds another member, and a-absorbent when its
+in-reach of radius a is every vertex. (j, a) is (2, 2) for a quasi-kernel
+and (k, k-1) for a k-kernel. Every certificate the module returns has passed
+that check on the digraph it is claimed for.
+
 Deciding k-kernel existence is polynomial for strong semicomplete
 compositions when k >= 4 (a singleton inside the right factor always works)
 and NP-complete for k in {2, 3}; accordingly this module offers the
@@ -26,14 +32,7 @@ from .composition import (
     require_semicomplete_composition,
     require_strong_semicomplete_composition,
 )
-from .digraph import (
-    Digraph,
-    _ball,
-    build_digraph,
-    classify_digraph,
-    distances_from,
-    distances_to_set,
-)
+from .digraph import Digraph, _reach, build_digraph, classify_digraph
 from .errors import PreconditionError, TheoremViolation
 
 DEFAULT_ORACLE_CAP = 16
@@ -57,30 +56,42 @@ class KernelCertificate:
 
 
 def validate_certificate(d: Digraph, cert: KernelCertificate) -> bool:
-    """Exact check of the defining conditions via BFS distances."""
+    """Exact check of the defining conditions: the set is j-independent and
+    a-absorbent, with (j, a) = (2, 2) for a quasi-kernel and (k, k-1) for a
+    k-kernel."""
     for v in cert.vertices:
         if not 0 <= v < d.n:
             raise PreconditionError(
                 f"certificate vertex {v} out of range for n={d.n}"
             )
-    members = sorted(cert.vertices)
-    inside = set(members)
     if cert.kind is CertificateKind.QUASI_KERNEL:
-        mask = sum(1 << v for v in members)
-        if any(d.out_masks[u] & mask for u in members):
-            return False
-        into = distances_to_set(d, members)
-        return all(into[x] <= 2 for x in range(d.n) if x not in inside)
-    if cert.k is None or cert.k < 2:
-        raise PreconditionError("K_KERNEL certificate requires k >= 2")
-    k = cert.k
-    for u in members:
-        dist = distances_from(d, u)
-        for v in members:
-            if v != u and dist[v] < k:
-                return False
-    into = distances_to_set(d, members)
-    return all(into[x] <= k - 1 for x in range(d.n) if x not in inside)
+        j, a = 2, 2
+    else:
+        if cert.k is None or cert.k < 2:
+            raise PreconditionError("K_KERNEL certificate requires k >= 2")
+        j, a = cert.k, cert.k - 1
+    mask = sum(1 << v for v in cert.vertices)
+    independent = not any(
+        _reach(d.out_masks, 1 << v, j - 1) & mask & ~(1 << v) for v in cert.vertices
+    )
+    return independent and _reach(d.in_masks, mask, a) == (1 << d.n) - 1
+
+
+def _certified(
+    d: Digraph,
+    kind: CertificateKind,
+    vertices: frozenset[int],
+    k: int | None,
+    failure: str,
+    instance: Digraph | Composition,
+) -> KernelCertificate:
+    """The certificate claiming `vertices` for d, marked validated once
+    validate_certificate confirms it. A failed check means a construction
+    the theory guarantees went wrong: TheoremViolation(failure, instance)."""
+    cert = KernelCertificate(kind=kind, vertices=vertices, k=k, validated=False)
+    if not validate_certificate(d, cert):
+        raise TheoremViolation(failure, instance=instance)
+    return replace(cert, validated=True)
 
 
 def quasi_kernel(d: Digraph) -> KernelCertificate:
@@ -101,15 +112,14 @@ def quasi_kernel(d: Digraph) -> KernelCertificate:
     for v in reversed(pivots):
         if not d.out_masks[v] & chosen:
             chosen |= 1 << v
-    cert = KernelCertificate(
-        kind=CertificateKind.QUASI_KERNEL,
-        vertices=frozenset(v for v in reversed(pivots) if chosen >> v & 1),
-        k=None,
-        validated=False,
+    return _certified(
+        d,
+        CertificateKind.QUASI_KERNEL,
+        frozenset(v for v in reversed(pivots) if chosen >> v & 1),
+        None,
+        "constructed quasi-kernel failed validation",
+        d,
     )
-    if not validate_certificate(d, cert):
-        raise TheoremViolation("constructed quasi-kernel failed validation", instance=d)
-    return replace(cert, validated=True)
 
 
 def singleton_quasi_kernels(d: Digraph) -> frozenset[int]:
@@ -123,7 +133,7 @@ def singleton_quasi_kernels(d: Digraph) -> frozenset[int]:
     if not cls.is_semicomplete:
         raise PreconditionError("digraph is not semicomplete")
     full = (1 << d.n) - 1
-    found = frozenset(v for v in range(d.n) if _ball(d.in_masks, v, 2)[0] == full)
+    found = frozenset(v for v in range(d.n) if _reach(d.in_masks, 1 << v, 2) == full)
     if d.n > 0 and not cls.sinks and len(found) < 2:
         raise TheoremViolation(
             "sink-free semicomplete digraph with fewer than two singleton "
@@ -149,20 +159,17 @@ def disjoint_quasi_kernels(
     certs: list[KernelCertificate] = []
     for i in (first, second):
         inner = quasi_kernel(c.factors[i])
-        lifted = frozenset(c.flat_id(i, v) for v in inner.vertices)
-        cert = KernelCertificate(
-            kind=CertificateKind.QUASI_KERNEL,
-            vertices=lifted,
-            k=None,
-            validated=False,
-        )
-        if not validate_certificate(q, cert):
-            raise TheoremViolation(
+        certs.append(
+            _certified(
+                q,
+                CertificateKind.QUASI_KERNEL,
+                frozenset(c.flat_id(i, v) for v in inner.vertices),
+                None,
                 f"lifted quasi-kernel of factor {i} failed validation on the "
                 "flattened composition",
-                instance=c,
+                c,
             )
-        certs.append(replace(cert, validated=True))
+        )
     return certs[0], certs[1]
 
 
@@ -183,19 +190,15 @@ def composition_k_kernel(c: Composition, k: int) -> KernelCertificate | None:
         )
     full = (1 << c.t) - 1
     for i in range(c.t):
-        if _ball(c.outer.in_masks, i, k - 1)[0] == full:
-            cert = KernelCertificate(
-                kind=CertificateKind.K_KERNEL,
-                vertices=frozenset({c.flat_id(i, 0)}),
-                k=k,
-                validated=False,
+        if _reach(c.outer.in_masks, 1 << i, k - 1) == full:
+            return _certified(
+                flatten(c),
+                CertificateKind.K_KERNEL,
+                frozenset({c.flat_id(i, 0)}),
+                k,
+                f"singleton k-kernel in factor {i} failed validation",
+                c,
             )
-            if not validate_certificate(flatten(c), cert):
-                raise TheoremViolation(
-                    f"singleton k-kernel in factor {i} failed validation",
-                    instance=c,
-                )
-            return replace(cert, validated=True)
     return None
 
 
@@ -228,21 +231,18 @@ def k_kernel_brute_force(
     cap = _oracle_cap(max_n)
     if d.n > cap:
         raise PreconditionError(f"oracle cap exceeded: n={d.n} > cap={cap}")
-    if d.n == 0:
-        return KernelCertificate(
-            kind=CertificateKind.K_KERNEL, vertices=frozenset(), k=k, validated=True
-        )
-    # Bitmask prefilters from depth-(k-1) balls; the winner is re-checked
+    # Bitmask prefilters from reaches of radius k-1; the winner is re-checked
     # against the certificate definition.
     full = (1 << d.n) - 1
     # y-mask per x: d(x, y) <= k-1
-    absorb = [_ball(d.out_masks, x, k - 1)[0] for x in range(d.n)]
+    absorb = [_reach(d.out_masks, 1 << x, k - 1) for x in range(d.n)]
     # y-mask per x: d(x, y) >= k and d(y, x) >= k, so x, y may share a
     # k-independent set
     compat = [
-        full & ~(absorb[x] | _ball(d.in_masks, x, k - 1)[0]) for x in range(d.n)
+        full & ~(absorb[x] | _reach(d.in_masks, 1 << x, k - 1)) for x in range(d.n)
     ]
-    for size in range(1, d.n + 1):
+    # the empty set is a k-kernel only of the empty digraph
+    for size in range(d.n + 1):
         for combo in combinations(range(d.n), size):
             mask = 0
             independent = True
@@ -259,18 +259,14 @@ def k_kernel_brute_force(
                 if not (mask >> x) & 1
             ):
                 continue
-            cert = KernelCertificate(
-                kind=CertificateKind.K_KERNEL,
-                vertices=frozenset(combo),
-                k=k,
-                validated=False,
+            return _certified(
+                d,
+                CertificateKind.K_KERNEL,
+                frozenset(combo),
+                k,
+                f"oracle {k}-kernel {sorted(combo)} failed validation",
+                d,
             )
-            if not validate_certificate(d, cert):
-                raise TheoremViolation(
-                    f"oracle {k}-kernel {sorted(combo)} failed validation",
-                    instance=d,
-                )
-            return replace(cert, validated=True)
     return None
 
 

@@ -8,9 +8,11 @@ For compositions the k-king structure of the flattened digraph is decided
 from the outer digraph and the factors alone, without flattening, and the
 3-king set of a strong semicomplete composition is a union of whole factors.
 Whether an outer vertex u_i is a k-king, and whether it lies on an outer
-cycle of length at most k, both come from one depth-k bitset BFS from u_i
-(`digraph._ball`); the composition-level decisions walk the outer vertices
-in order with it and stop at the first vertex that settles the answer.
+cycle of length at most k, both come from one reach of radius k-1 from the
+out-neighbours of u_i: u_i is a k-king when that reach with u_i added is
+every outer vertex, and lies on a short cycle when the reach holds u_i. The
+composition-level decisions walk the outer vertices in order with it and
+stop at the first vertex that settles the answer.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .composition import (
 from .digraph import (
     Digraph,
     Dist,
-    _ball,
+    _check_vertex,
+    _reach,
     build_digraph,
     classify_digraph,
     out_eccentricities,
@@ -114,10 +117,11 @@ def composition_has_k_king(c: Composition, k: int) -> CompositionKingWitness:
     """
     if k < 2:
         raise PreconditionError(f"king order must be >= 2, got {k}")
+    out = c.outer.out_masks
     full = (1 << c.t) - 1
     for i in range(c.t):
-        ball, on_short_cycle = _ball(c.outer.out_masks, i, k)
-        if ball != full:
+        reach = _reach(out, out[i], k - 1)
+        if reach | 1 << i != full:
             continue
         h = c.factors[i]
         if k_kings(h, k).kings:
@@ -126,7 +130,7 @@ def composition_has_k_king(c: Composition, k: int) -> CompositionKingWitness:
                 witness_factor=i,
                 reason=KingWitnessReason.FACTOR_HAS_KING,
             )
-        if h.n >= 2 and on_short_cycle:
+        if h.n >= 2 and reach >> i & 1:
             return CompositionKingWitness(
                 exists=True,
                 witness_factor=i,
@@ -142,13 +146,14 @@ def composition_all_k_kings(c: Composition, k: int) -> bool:
     its outer vertex on a cycle of length at most k."""
     if k < 2:
         raise PreconditionError(f"king order must be >= 2, got {k}")
+    out = c.outer.out_masks
     full = (1 << c.t) - 1
     for i in range(c.t):
-        ball, on_short_cycle = _ball(c.outer.out_masks, i, k)
-        if ball != full:
+        reach = _reach(out, out[i], k - 1)
+        if reach | 1 << i != full:
             return False
         h = c.factors[i]
-        if h.n >= 2 and on_short_cycle:
+        if h.n >= 2 and reach >> i & 1:
             continue
         if len(k_kings(h, k).kings) != h.n:
             return False
@@ -188,20 +193,18 @@ def non_king_dominator_witness(c: Composition, u: int) -> int:
     Decided on the outer digraph: with u in factor i, the 3-kings are the
     whole factors of the outer 3-kings, and every vertex of another factor j
     dominates u when u_j -> u_i and sits at distance d_T(u_i, u_j) from u. So
-    v is vertex 0 of the smallest outer 3-king j outside the depth-3 out-ball
-    of u_i with an arc u_j -> u_i."""
+    v is vertex 0 of the smallest outer 3-king j outside the out-reach of
+    radius 3 of u_i with an arc u_j -> u_i."""
     require_strong_semicomplete_composition(c)
-    if not 0 <= u < c.total_vertices:
-        raise PreconditionError(f"vertex {u} out of range for n={c.total_vertices}")
-    i = c.locate(u).factor
+    i = c.locate(_check_vertex(c.total_vertices, u)).factor
     outer = c.outer
     full = (1 << c.t) - 1
-    near, _ = _ball(outer.out_masks, i, 3)
+    near = _reach(outer.out_masks, 1 << i, 3)
     if near == full:
         raise PreconditionError(f"vertex {u} is a 3-king, not a non-king")
     candidates = outer.in_masks[i] & ~near
     for j in range(c.t):
-        if candidates >> j & 1 and _ball(outer.out_masks, j, 3)[0] == full:
+        if candidates >> j & 1 and _reach(outer.out_masks, 1 << j, 3) == full:
             return c.flat_id(j, 0)
     raise TheoremViolation(
         f"no dominating 3-king at distance > 3 from non-king {u}", instance=c

@@ -348,7 +348,7 @@ class TestExperiment:
     def test_recorded_violations_exit_three(self, capsys, tmp_path, monkeypatch):
         import kingkernel.cli as cli_module
 
-        def fake(seed, instances=None, max_n=None):
+        def fake(seed, instances=None):
             result = ExperimentResult(
                 name="quasi-kernel", instances=1, checks=1, violations=0
             )
@@ -367,7 +367,7 @@ class TestExperiment:
     def test_guarantee_breach_saves_the_instance(self, capsys, tmp_path, monkeypatch):
         import kingkernel.cli as cli_module
 
-        def explode(seed, instances=None, max_n=None):
+        def explode(seed, instances=None):
             raise TheoremViolation(
                 "guaranteed property failed", instance=build_digraph(1, [])
             )

@@ -14,7 +14,6 @@ from kingkernel import (
     converse,
     distances_from,
     distances_to,
-    distances_to_set,
     induced_subdigraph,
     is_strong,
     min_cycle_length_through,
@@ -58,6 +57,14 @@ class TestBuild:
         with pytest.raises(PreconditionError):
             build_digraph(2, [(-1, 0)])
 
+    def test_has_arc_rejects_endpoints_outside_the_vertex_range(self):
+        d = build_digraph(3, [(2, 0)])
+        assert d.has_arc(2, 0) and not d.has_arc(0, 2)
+        for u, v in ((-1, 0), (3, 0), (0, -1), (0, 3)):
+            bad = u if not 0 <= u < 3 else v
+            with pytest.raises(PreconditionError, match=rf"^vertex {bad} out of range for n=3$"):
+                d.has_arc(u, v)
+
     def test_mirror_consistency(self):
         d = build_digraph(4, [(0, 1), (2, 1), (3, 0), (1, 3)])
         for u, v in d.arcs():
@@ -93,11 +100,6 @@ class TestDistances:
         d = build_digraph(4, [(0, 1), (1, 2), (3, 1), (2, 3)])
         for v in range(4):
             assert distances_to(d, v) == distances_from(converse(d), v)
-
-    def test_distance_to_set_takes_minimum(self):
-        d = path(4)
-        dist = distances_to_set(d, {2, 3})
-        assert dist == [2, 1, 0, 0]
 
     def test_unreachable_marker_semantics(self):
         # the marker must survive comparisons against any finite distance

@@ -32,9 +32,7 @@ class TestRegistry:
         assert set(EXPERIMENTS) == EXPECTED_NAMES
 
     def test_runners_accept_the_common_signature(self):
-        result = EXPERIMENTS["fixture-regression"](
-            seed=DEFAULT_SEED, instances=None, max_n=None
-        )
+        result = EXPERIMENTS["fixture-regression"](seed=DEFAULT_SEED, instances=None)
         assert isinstance(result, ExperimentResult)
 
 

@@ -13,9 +13,11 @@ from kingkernel import (
     SplitMix64,
     build_digraph,
     classify_digraph,
+    compose,
     derive,
     flatten,
     generate,
+    induced_subdigraph,
     is_strong,
     k_kings,
     mix64,
@@ -188,9 +190,10 @@ class TestUniqueThreeKingFixture:
 
     def test_six_vertex_variant_breaks_uniqueness(self):
         # with the shorter bidirected path both midpoints tie, which is why
-        # the default factor has seven vertices
-        c = unique_three_king_fixture(literal_six=True)
-        kings = k_kings(flatten(c), 3).kings
+        # the fixture's path has seven vertices
+        c = unique_three_king_fixture()
+        six, _ = induced_subdigraph(c.factors[0], range(6))
+        kings = k_kings(flatten(compose(c.outer, (six, *c.factors[1:]))), 3).kings
         assert kings == frozenset({2, 3})
 
     def test_outer_is_semicomplete_but_not_strong(self):

@@ -24,7 +24,6 @@ from kingkernel import (
     disjoint_quasi_kernels,
     distances_from,
     distances_to,
-    distances_to_set,
     establish,
     flatten,
     four_king_bound_report,
@@ -39,7 +38,7 @@ from kingkernel import (
     singleton_quasi_kernels,
     validate_certificate,
 )
-from kingkernel.digraph import _ball
+from kingkernel.digraph import _reach
 from kingkernel.experiments import path_like_tournament
 from kingkernel.fileformat import (
     composition_from_json,
@@ -143,30 +142,25 @@ class TestDistances:
 
     @settings(deadline=None, max_examples=80)
     @given(st.data())
-    def test_distance_to_set_is_the_minimum_over_targets(self, data):
-        d = data.draw(digraphs(min_n=1))
-        targets = data.draw(st.lists(st.integers(0, d.n - 1), max_size=2 * d.n))
-        dist = distances_to_set(d, targets)
-        for x in range(d.n):
-            brute = brute_distances(d, x)
-            assert dist[x] == min((brute[s] for s in targets), default=UNREACHABLE)
-        with pytest.raises(PreconditionError):
-            distances_to_set(d, [*targets, d.n])
-
-    @settings(deadline=None, max_examples=60)
-    @given(digraphs(min_n=1, max_n=7))
-    def test_depth_bounded_ball_matches_brute_force(self, d):
+    def test_depth_bounded_reach_matches_brute_force(self, data):
+        d = data.draw(digraphs(min_n=1, max_n=7))
+        sources = data.draw(st.sets(st.integers(0, d.n - 1)))
+        mask = sum(1 << s for s in sources)
         rev = converse(d)
+        out_dist = [brute_distances(d, s) for s in range(d.n)]
+        in_dist = [brute_distances(rev, s) for s in range(d.n)]
+        for depth in range(5):
+            near_out = [v for v in range(d.n) if any(out_dist[s][v] <= depth for s in sources)]
+            near_in = [v for v in range(d.n) if any(in_dist[s][v] <= depth for s in sources)]
+            assert _reach(d.out_masks, mask, depth) == sum(1 << v for v in near_out)
+            assert _reach(d.in_masks, mask, depth) == sum(1 << v for v in near_in)
+        # the king decisions read s's short-cycle flag off the reach of its
+        # out-neighbours
         for s in range(d.n):
-            out_dist = brute_distances(d, s)
-            in_dist = brute_distances(rev, s)
             cycle = brute_min_cycle_through(d, s)
-            for k in (1, 2, 3, 4):
-                ball, on_cycle = _ball(d.out_masks, s, k)
-                assert ball == sum(1 << v for v in range(d.n) if out_dist[v] <= k)
-                assert on_cycle == (cycle <= k)
-                in_ball, _ = _ball(d.in_masks, s, k)
-                assert in_ball == sum(1 << v for v in range(d.n) if in_dist[v] <= k)
+            for k in range(1, 6):
+                onward = _reach(d.out_masks, d.out_masks[s], k - 1)
+                assert bool(onward >> s & 1) == (cycle <= k)
 
     @settings(deadline=None, max_examples=80)
     @given(digraphs())
