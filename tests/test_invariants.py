@@ -146,20 +146,23 @@ class TestDistances:
         d = data.draw(digraphs(min_n=1, max_n=7))
         sources = data.draw(st.sets(st.integers(0, d.n - 1)))
         mask = sum(1 << s for s in sources)
-        rev = converse(d)
         out_dist = [brute_distances(d, s) for s in range(d.n)]
-        in_dist = [brute_distances(rev, s) for s in range(d.n)]
+        in_dist = [brute_distances(converse(d), s) for s in range(d.n)]
+
+        def near(dist, depth):
+            return sum(1 << v for v in range(d.n) if any(dist[s][v] <= depth for s in sources))
+
         for depth in range(5):
-            near_out = [v for v in range(d.n) if any(out_dist[s][v] <= depth for s in sources)]
-            near_in = [v for v in range(d.n) if any(in_dist[s][v] <= depth for s in sources)]
-            assert _reach(d.out_masks, mask, depth) == sum(1 << v for v in near_out)
-            assert _reach(d.in_masks, mask, depth) == sum(1 << v for v in near_in)
-        # the king decisions read s's short-cycle flag off the reach of its
-        # out-neighbours
+            assert _reach(d.out_masks, mask, depth) == near(out_dist, depth)
+            assert _reach(d.in_masks, mask, depth) == near(in_dist, depth)
+        # the king decisions walk once from s's out-neighbours: with s added
+        # that is s's out-reach of radius k, and it holds s iff s lies on a
+        # cycle of length at most k
         for s in range(d.n):
             cycle = brute_min_cycle_through(d, s)
             for k in range(1, 6):
                 onward = _reach(d.out_masks, d.out_masks[s], k - 1)
+                assert onward | 1 << s == _reach(d.out_masks, 1 << s, k)
                 assert bool(onward >> s & 1) == (cycle <= k)
 
     @settings(deadline=None, max_examples=80)
@@ -439,18 +442,16 @@ class TestCertificateCheck:
         # up to six vertices every subset is claimed
         everyone = range(d.n)
         if d.n <= 6:
-            claims = [set(c) for size in range(d.n + 1) for c in combinations(everyone, size)]
+            claims = [set(c) for r in range(d.n + 1) for c in combinations(everyone, r)]
         else:
             claims = [set(), set(everyone), data.draw(st.sets(st.sampled_from(everyone)))]
         for vertices in claims:
             for k in (None, 2, 3, 4, 5):
-                kind = CertificateKind.QUASI_KERNEL if k is None else CertificateKind.K_KERNEL
+                if k is None:
+                    kind, expected = CertificateKind.QUASI_KERNEL, brute_is_quasi_kernel(d, vertices)
+                else:
+                    kind, expected = CertificateKind.K_KERNEL, brute_is_k_kernel(d, vertices, k)
                 cert = KernelCertificate(kind, frozenset(vertices), k, validated=False)
-                expected = (
-                    brute_is_quasi_kernel(d, vertices)
-                    if k is None
-                    else brute_is_k_kernel(d, vertices, k)
-                )
                 assert validate_certificate(d, cert) == expected
 
 
