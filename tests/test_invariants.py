@@ -105,15 +105,21 @@ def semicomplete_compositions(
 
 
 @st.composite
-def path_like_compositions(draw, min_t: int = 5, max_t: int = 7, max_size: int = 2):
+def path_like_outers(draw, min_t: int = 5, max_t: int = 7):
     # the path-like tournament i -> i+1, j -> i (j >= i+2) has vertices of
-    # eccentricity t-1 >= 4, so its compositions have non-kings; a few added
-    # back arcs (2-cycles) keep the outer strong semicomplete
+    # eccentricity t-1 >= 4; a few added back arcs (2-cycles) keep it strong
+    # semicomplete
     t = draw(st.integers(min_t, max_t))
     base = path_like_tournament(t)
     extra = draw(st.lists(st.sampled_from([(v, u) for u, v in base.arcs()]), max_size=2))
-    outer = build_digraph(t, [*base.arcs(), *extra])
-    factors = tuple(draw(digraphs(min_n=1, max_n=max_size)) for _ in range(t))
+    return build_digraph(t, [*base.arcs(), *extra])
+
+
+@st.composite
+def path_like_compositions(draw, min_t: int = 5, max_t: int = 7, max_size: int = 2):
+    # compositions over path-like outers have non-kings
+    outer = draw(path_like_outers(min_t, max_t))
+    factors = tuple(draw(digraphs(min_n=1, max_n=max_size)) for _ in range(outer.n))
     return compose(outer, factors)
 
 
@@ -315,6 +321,19 @@ class TestThreeKingStructure:
         assert report.four_kings >= 5
         assert report.three_kings <= report.four_kings
 
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(semicomplete_compositions(), path_like_compositions()))
+    def test_four_king_counts_match_brute_force(self, c):
+        assume(is_strong(c.outer))
+        q = flatten(c)
+        report = four_king_bound_report(c)
+        four, three = len(brute_k_kings(q, 4)), len(brute_k_kings(q, 3))
+        assert report.n == q.n
+        assert (report.four_kings, report.three_kings) == (four, three)
+        assert report.bound_satisfied == (
+            q.n < 6 or (four >= 5 and (three > 0 or four >= 8))
+        )
+
 
 ELIGIBLE_OUTER = build_digraph(
     6,
@@ -326,6 +345,22 @@ ELIGIBLE_OUTER = build_digraph(
 
 
 class TestEstablishment:
+    @settings(deadline=None, max_examples=80)
+    @given(st.one_of(semicompletes(min_n=1, max_n=7), path_like_outers(min_t=3)))
+    def test_eligibility_matches_brute_force_distances(self, t):
+        assume(is_strong(t))
+        eccs = [max(brute_distances(t, v)) for v in range(t.n)]
+        strict3 = frozenset(v for v in range(t.n) if eccs[v] == 3)
+        two = frozenset(v for v in range(t.n) if eccs[v] <= 2)
+        blocking = frozenset(
+            v for v in two if not any(t.has_arc(s, v) for s in strict3)
+        )
+        report = can_establish(t)
+        assert report.strict_three_kings == strict3
+        assert report.two_kings == two
+        assert report.blocking_two_kings == blocking
+        assert report.ok == (bool(strict3) and not blocking)
+
     @settings(deadline=None, max_examples=25)
     @given(st.tuples(*[digraphs(min_n=1, max_n=2) for _ in range(6)]))
     def test_established_three_kings_are_exactly_the_original_vertices(self, factors):
