@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -29,6 +30,7 @@ from .fileformat import (
 )
 from .gen import Constraint, GenSpec, Kind, generate
 from .kernels import (
+    DEFAULT_ORACLE_CAP,
     KernelCertificate,
     c3_gadget,
     composition_k_kernel,
@@ -248,9 +250,23 @@ def _cmd_kkernel(args: argparse.Namespace) -> int:
     return 0
 
 
+def _oracle_cap(max_n: int | None) -> int:
+    """The oracle size cap: the --max-n flag, else the KK_MAX_N environment
+    variable, else the library default."""
+    if max_n is not None:
+        return max_n
+    env = os.environ.get("KK_MAX_N")
+    if env is None:
+        return DEFAULT_ORACLE_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise PreconditionError(f"KK_MAX_N must be an integer, got {env!r}") from None
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
     d = _load_digraph_view(args.input)
-    cert = k_kernel_brute_force(d, args.k, max_n=args.max_n)
+    cert = k_kernel_brute_force(d, args.k, max_n=_oracle_cap(args.max_n))
     _emit(args, _kernel_payload(args.k, cert), _kernel_text(args.k, cert))
     return 0
 
@@ -262,8 +278,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     gadget = c3_gadget(obj)
     check = None
     if args.check:
-        direct = k_kernel_brute_force(obj, 3, max_n=args.max_n)
-        lifted = k_kernel_brute_force(flatten(gadget), 3, max_n=args.max_n)
+        cap = _oracle_cap(args.max_n)
+        direct = k_kernel_brute_force(obj, 3, max_n=cap)
+        lifted = k_kernel_brute_force(flatten(gadget), 3, max_n=cap)
         check = {
             "digraph_has_3kernel": direct is not None,
             "gadget_has_3kernel": lifted is not None,

@@ -10,10 +10,11 @@ where bit v of out_masks[u], and bit u of in_masks[v], is set iff u -> v.
 `composition.flatten` from block masks); every query reads them.
 
 Every distance question runs on one bitset BFS core. `_levels` expands a
-frontier mask one level at a time by OR-ing the masks of its vertices.
-Callers stop consuming levels when they have their answer: the distance
-lists, eccentricities and the strong-connectivity test walk every level, and
-the shortest cycle stops where the start vertex reappears.
+frontier mask one level at a time by OR-ing the masks of its vertices, and
+stops once every vertex has been reached, so no walk expands a level that
+can add nothing. Callers stop earlier when they have their answer: the
+shortest cycle stops where the start vertex reappears, and a reach at its
+depth bound.
 
 Every "within j steps" question goes through one depth-bounded primitive,
 `_reach(masks, sources, depth)`: the mask of vertices within `depth` steps
@@ -109,10 +110,14 @@ def _levels(masks: tuple[int, ...], frontier: int) -> Iterator[int]:
     """BFS along masks (a digraph's out_masks or in_masks) from the vertex
     mask `frontier`: the j-th yielded mask (from 0) holds the vertices first
     reached after j steps. A level is expanded only when the caller asks for
-    the next one, so stopping early costs nothing."""
+    the next one, so stopping early costs nothing; the walk ends once every
+    vertex has been reached."""
+    full = (1 << len(masks)) - 1
     seen = frontier
     while frontier:
         yield frontier
+        if seen == full:
+            return
         reach = 0
         while frontier:
             low = frontier & -frontier
@@ -136,17 +141,16 @@ def _bfs(masks: tuple[int, ...], source: int) -> list[Dist]:
 
 def _reach(masks: tuple[int, ...], sources: int, depth: int) -> int:
     """The mask of vertices within `depth` >= 0 steps of the vertex mask
-    `sources` along masks, sources included. It stops after `depth` levels,
-    or as soon as every vertex has been reached.
+    `sources` along masks, sources included. It stops after `depth` levels
+    (and, like every walk, once every vertex has been reached).
 
     Seeded with a vertex s's out-neighbours and depth k-1, bit s of the
     result says whether s lies on a cycle of length at most k, and the
     result with s added is s's out-reach of radius k."""
-    full = (1 << len(masks)) - 1
     reached = 0
     for level, frontier in enumerate(_levels(masks, sources)):
         reached |= frontier
-        if level == depth or reached == full:
+        if level == depth:
             break
     return reached
 

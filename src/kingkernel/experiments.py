@@ -453,18 +453,20 @@ def disjoint_quasi_kernel_pairs(
         ):
             res.record("one of the pair does not validate", c)
 
+    def check_singletons(d: Digraph) -> None:
+        res.checks += 1
+        try:
+            if len(singleton_quasi_kernels(d)) < 2:
+                res.record("fewer than two singleton quasi-kernels", d)
+        except TheoremViolation as exc:
+            res.record(str(exc), d)
+
     exhaustive_checked = 0
     for n in range(1, 6):
         for d in all_semicomplete_digraphs(n):
-            if classify_digraph(d).sinks:
-                continue
-            exhaustive_checked += 1
-            res.checks += 1
-            try:
-                if len(singleton_quasi_kernels(d)) < 2:
-                    res.record("fewer than two singleton quasi-kernels", d)
-            except TheoremViolation as exc:
-                res.record(str(exc), d)
+            if all(d.out_masks):
+                exhaustive_checked += 1
+                check_singletons(d)
     res.info["exhaustive_sink_free_digraphs"] = exhaustive_checked
 
     for idx in range(1000):
@@ -479,12 +481,7 @@ def disjoint_quasi_kernel_pairs(
         d = generate(spec)
         if not isinstance(d, Digraph):
             raise GenerationError(f"expected a digraph from {spec}")
-        res.checks += 1
-        try:
-            if len(singleton_quasi_kernels(d)) < 2:
-                res.record("fewer than two singleton quasi-kernels", d)
-        except TheoremViolation as exc:
-            res.record(str(exc), d)
+        check_singletons(d)
 
 
 @_experiment("kkernel-poly", 500)
@@ -540,7 +537,7 @@ def kkernel_reduction(
         res.checks += 1
         direct = k_kernel_brute_force(d, 3) is not None
         gadget = flatten(c3_gadget(d))
-        via_gadget = k_kernel_brute_force(gadget, 3, max_n=16) is not None
+        via_gadget = k_kernel_brute_force(gadget, 3) is not None
         if direct:
             with_kernel += 1
         if direct != via_gadget:
@@ -566,6 +563,8 @@ def absorbent_transfer(
         offs = c.offsets
         for i in range(c.t):
             h = c.factors[i]
+            # Route two: one backward BFS in the outer digraph.
+            outer_dists = distances_to(c.outer, i)
             inner_picks = {0, h.n - 1}
             for inner in inner_picks:
                 v = offs[i] + inner
@@ -576,16 +575,13 @@ def absorbent_transfer(
                 ]
                 sub, new_id = induced_subdigraph(q, keep)
                 target = new_id[v]
+                # Route one: forward BFS from every vertex of the reduced
+                # flattened digraph.
+                reduced_dists = [distances_from(sub, x)[target] for x in range(sub.n)]
                 for k in (3, 4, 5):
                     res.checks += 1
-                    # Route one: forward BFS from every vertex of the reduced
-                    # flattened digraph.
-                    reduced_side = all(
-                        distances_from(sub, x)[target] <= k
-                        for x in range(sub.n)
-                    )
-                    # Route two: one backward BFS in the outer digraph.
-                    outer_side = all(dist <= k for dist in distances_to(c.outer, i))
+                    reduced_side = all(dist <= k for dist in reduced_dists)
+                    outer_side = all(dist <= k for dist in outer_dists)
                     if reduced_side != outer_side:
                         res.record(
                             f"absorbency transfer mismatch at factor {i}, "

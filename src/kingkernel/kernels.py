@@ -20,7 +20,6 @@ semicomplete compositions.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
@@ -36,7 +35,6 @@ from .digraph import Digraph, _reach, build_digraph, classify_digraph
 from .errors import PreconditionError, TheoremViolation
 
 DEFAULT_ORACLE_CAP = 16
-ORACLE_CAP_ENV = "KK_MAX_N"
 
 
 class CertificateKind(Enum):
@@ -202,35 +200,19 @@ def composition_k_kernel(c: Composition, k: int) -> KernelCertificate | None:
     return None
 
 
-def _oracle_cap(max_n: int | None) -> int:
-    if max_n is not None:
-        return max_n
-    env = os.environ.get(ORACLE_CAP_ENV)
-    if env is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise PreconditionError(
-            f"{ORACLE_CAP_ENV} must be an integer, got {env!r}"
-        ) from None
-
-
 def k_kernel_brute_force(
-    d: Digraph, k: int, max_n: int | None = None
+    d: Digraph, k: int, max_n: int = DEFAULT_ORACLE_CAP
 ) -> KernelCertificate | None:
     """Minimum-cardinality k-kernel by exhaustive search, or None when no
     k-kernel exists. Subsets are tried by increasing size and
     lexicographically within a size, so the returned certificate is
     deterministic.
 
-    Exponential: refuses digraphs larger than the cap (max_n argument, else
-    the KK_MAX_N environment variable, else 16)."""
+    Exponential: refuses digraphs with more than max_n vertices."""
     if k < 2:
         raise PreconditionError(f"kernel order must be >= 2, got {k}")
-    cap = _oracle_cap(max_n)
-    if d.n > cap:
-        raise PreconditionError(f"oracle cap exceeded: n={d.n} > cap={cap}")
+    if d.n > max_n:
+        raise PreconditionError(f"oracle cap exceeded: n={d.n} > cap={max_n}")
     # Bitmask prefilters from reaches of radius k-1; the winner is re-checked
     # against the certificate definition.
     full = (1 << d.n) - 1

@@ -198,17 +198,16 @@ def non_king_dominator_witness(c: Composition, u: int) -> int:
     require_strong_semicomplete_composition(c)
     i = c.locate(_check_vertex(c.total_vertices, u)).factor
     outer = c.outer
-    full = (1 << c.t) - 1
-    near = _reach(outer.out_masks, 1 << i, 3)
-    if near == full:
+    kings = k_kings(outer, 3).kings
+    if i in kings:
         raise PreconditionError(f"vertex {u} is a 3-king, not a non-king")
-    candidates = outer.in_masks[i] & ~near
-    for j in range(c.t):
-        if candidates >> j & 1 and _reach(outer.out_masks, 1 << j, 3) == full:
-            return c.flat_id(j, 0)
-    raise TheoremViolation(
-        f"no dominating 3-king at distance > 3 from non-king {u}", instance=c
-    )
+    near = _reach(outer.out_masks, 1 << i, 3)
+    candidates = outer.in_masks[i] & ~near & sum(1 << j for j in kings)
+    if not candidates:
+        raise TheoremViolation(
+            f"no dominating 3-king at distance > 3 from non-king {u}", instance=c
+        )
+    return c.flat_id((candidates & -candidates).bit_length() - 1, 0)
 
 
 def can_establish(t: Digraph) -> EstablishReport:
@@ -218,9 +217,9 @@ def can_establish(t: Digraph) -> EstablishReport:
     cls = classify_digraph(t)
     if not (cls.is_semicomplete and cls.is_strong):
         raise PreconditionError("digraph is not strong semicomplete")
-    eccs = out_eccentricities(t)
-    strict3 = frozenset(v for v in range(t.n) if eccs[v] == 3)
-    two = frozenset(v for v in range(t.n) if eccs[v] <= 2)
+    three = k_kings(t, 3)
+    strict3 = three.strict
+    two = three.kings - strict3
     strict3_mask = sum(1 << v for v in strict3)
     blocking = frozenset(v for v in two if not t.in_masks[v] & strict3_mask)
     return EstablishReport(
@@ -279,9 +278,9 @@ def four_king_bound_report(c: Composition) -> FourKingReport:
     vertices the bound is vacuous."""
     require_strong_semicomplete_composition(c)
     q = flatten(c)
-    eccs = out_eccentricities(q)
-    four = sum(1 for e in eccs if e <= 4)
-    three = sum(1 for e in eccs if e <= 3)
+    kings4 = k_kings(q, 4)
+    four = len(kings4.kings)
+    three = four - len(kings4.strict)
     ok = q.n < 6 or (four >= 5 and (three > 0 or four >= 8))
     return FourKingReport(
         n=q.n, four_kings=four, three_kings=three, bound_satisfied=ok

@@ -227,6 +227,35 @@ class TestOracle:
         assert code == 1
         assert "cap" in err
 
+    def test_env_var_raises_the_cap(self, capsys, tmp_path, monkeypatch):
+        n = 17
+        path = tmp_path / "k17.dg"
+        arcs = "".join(f"{u} {v}\n" for u in range(n) for v in range(n) if u != v)
+        path.write_text(f"digraph {n}\n{arcs}", encoding="utf-8")
+        code, _, err = run_cli(capsys, "oracle", str(path), "--k", "2")
+        assert code == 1
+        assert "cap=16" in err
+        monkeypatch.setenv("KK_MAX_N", str(n))
+        code, payload = run_json(capsys, "oracle", str(path), "--k", "2")
+        assert code == 0
+        assert payload["certificate"]["vertices"] == [0]
+
+    def test_argument_beats_env_var(self, capsys, three_cycle_file, monkeypatch):
+        monkeypatch.setenv("KK_MAX_N", "20")
+        code, _, err = run_cli(
+            capsys, "reduce", three_cycle_file, "--check", "--max-n", "8"
+        )
+        assert code == 1
+        assert "n=9 > cap=8" in err
+
+    def test_malformed_env_var_is_a_precondition_failure(
+        self, capsys, three_cycle_file, monkeypatch
+    ):
+        monkeypatch.setenv("KK_MAX_N", "many")
+        code, _, err = run_cli(capsys, "oracle", three_cycle_file, "--k", "2")
+        assert code == 1
+        assert "KK_MAX_N must be an integer, got 'many'" in err
+
     def test_cap_flag_outranks_the_environment(self, capsys, three_cycle_file, monkeypatch):
         monkeypatch.setenv("KK_MAX_N", "2")
         assert run_cli(capsys, "oracle", three_cycle_file, "--k", "3")[0] == 1

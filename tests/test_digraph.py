@@ -19,6 +19,7 @@ from kingkernel import (
     min_cycle_length_through,
     out_eccentricities,
 )
+from kingkernel.digraph import _levels
 from kingkernel.gen import random_digraph
 
 from bruteforce import brute_distances
@@ -149,6 +150,26 @@ class TestEccentricities:
 
     def test_singleton_has_zero(self):
         assert out_eccentricities(build_digraph(1, [])) == [0]
+
+
+class CountingMasks(tuple):
+    """A mask tuple that counts how often a walk reads one of its masks."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+class TestLevels:
+    def test_walk_stops_once_every_vertex_is_reached(self):
+        n = 6
+        complete = build_digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+        masks = CountingMasks(complete.out_masks)
+        assert list(_levels(masks, 1)) == [1, (1 << n) - 2]
+        # vertex 0's mask reaches everyone; the second level is never expanded
+        assert masks.reads == 1
 
 
 class TestStrongDecomposition:

@@ -93,6 +93,16 @@ class TestRunnersAtSmallScale:
         stable = {k: v for k, v in first.info.items() if k not in timing}
         assert stable == {k: v for k, v in second.info.items() if k not in timing}
 
+    def test_results_ignore_the_oracle_cap_variable(self, monkeypatch):
+        def run() -> dict:
+            result = EXPERIMENTS["kkernel-reduction"](instances=8).to_json()
+            result.pop("elapsed_s")
+            return result
+
+        unset = run()
+        monkeypatch.setenv("KK_MAX_N", "1")
+        assert run() == unset
+
     def test_establishment_small_run(self):
         result = EXPERIMENTS["establishment"](instances=5)
         assert result.instances == 5

@@ -19,7 +19,7 @@ from kingkernel import (
     validate_certificate,
 )
 import kingkernel.kernels as kernels_module
-from kingkernel.kernels import DEFAULT_ORACLE_CAP, ORACLE_CAP_ENV
+from kingkernel.kernels import DEFAULT_ORACLE_CAP
 from bruteforce import brute_is_quasi_kernel
 
 
@@ -183,17 +183,11 @@ class TestBruteForceOracle:
         with pytest.raises(PreconditionError, match=str(DEFAULT_ORACLE_CAP)):
             k_kernel_brute_force(d, 2)
 
-    def test_env_var_raises_the_cap(self, monkeypatch):
-        d = build_digraph(DEFAULT_ORACLE_CAP + 1, [])
-        monkeypatch.setenv(ORACLE_CAP_ENV, str(DEFAULT_ORACLE_CAP + 1))
-        out = k_kernel_brute_force(d, 2)
-        assert out is not None
-
-    def test_argument_beats_env_var(self, monkeypatch):
+    def test_argument_sets_the_cap(self):
         d = build_digraph(5, [])
-        monkeypatch.setenv(ORACLE_CAP_ENV, "20")
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="cap=4"):
             k_kernel_brute_force(d, 2, max_n=4)
+        assert k_kernel_brute_force(d, 2, max_n=5) is not None
 
     def test_rejected_winner_raises_theorem_violation(self, monkeypatch):
         # must raise even under python -O, so not an assert
