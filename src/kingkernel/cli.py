@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 from typing import Any
@@ -384,12 +385,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     ]
     for key, value in sorted(result.info.items()):
         lines.append(f"{key}: {value}")
-    _emit(args, payload, "\n".join(lines))
     if result.violations:
+        # saved before the report is printed, so a closed stdout cannot lose it
         detail = result.failures[0] if result.failures else {}
         path = _write_anomaly(
             {"error": f"{result.name}: {result.violations} violations", **detail}
         )
+    _emit(args, payload, "\n".join(lines))
+    if result.violations:
         print(
             f"anomaly: {result.violations} violations (first saved to {path})",
             file=sys.stderr,
@@ -566,8 +569,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # a closed stdout (`kingkernel ... | head`) ends the process quietly
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -68,6 +68,7 @@ from .kings import (
     composition_has_k_king,
     establish,
     four_king_bound_report,
+    k_kings,
     non_king_dominator_witness,
 )
 
@@ -380,7 +381,8 @@ def four_king_bound(
     res: ExperimentResult, seed: int, instances: int
 ) -> None:
     """At least five 4-kings in every strong semicomplete composition on six
-    or more vertices; the no-3-king clause is tracked as a conditional."""
+    or more vertices; the no-3-king clause is tracked as a conditional. The
+    counts are checked against the flat 4-kings and their strict ones."""
     no_three_king_instances = 0
     for idx in range(instances):
         c = _corpus_composition(
@@ -396,6 +398,10 @@ def four_king_bound(
         report = four_king_bound_report(c)
         if report.three_kings == 0:
             no_three_king_instances += 1
+        counts = (report.four_kings, report.three_kings)
+        flat = k_kings(flatten(c), 4)
+        if counts != (len(flat.kings), len(flat.kings - flat.strict)):
+            res.record(f"(4-king, 3-king) counts {counts} differ from flat k_kings", c)
         if not report.bound_satisfied:
             res.record(
                 f"bound failed: n={report.n}, four={report.four_kings}, "

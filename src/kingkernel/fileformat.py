@@ -208,8 +208,11 @@ def composition_from_json(obj: Any) -> Composition:
     factors = tuple(
         _digraph_from_obj(f, f"factor {i + 1}") for i, f in enumerate(raw_factors)
     )
-    if "t" in obj and obj["t"] != len(factors):
-        raise FormatError(f"'t' is {obj['t']} but {len(factors)} factors given")
+    t = obj.get("t", len(factors))
+    if not _is_int(t):
+        raise FormatError(f"'t' must be an integer, got {t!r}")
+    if t != len(factors):
+        raise FormatError(f"'t' is {t} but {len(factors)} factors given")
     try:
         return compose(outer, factors)
     except PreconditionError as exc:

@@ -4,15 +4,12 @@ A k-king reaches every other vertex by a directed path of length at most k;
 it is strict when some vertex sits at distance exactly k. A king is a 2-king;
 a non-king is a vertex that is not even a 3-king.
 
-For compositions the k-king structure of the flattened digraph is decided
-from the outer digraph and the factors alone, without flattening, and the
-3-king set of a strong semicomplete composition is a union of whole factors.
-Whether an outer vertex u_i is a k-king, and whether it lies on an outer
-cycle of length at most k, both come from one reach of radius k-1 from the
-out-neighbours of u_i: u_i is a k-king when that reach with u_i added is
-every outer vertex, and lies on a short cycle when the reach holds u_i. The
-composition-level decisions walk the outer vertices in order with it and
-stop at the first vertex that settles the answer.
+For compositions every per-factor king question reads one rule, the
+lexicographic-product distance rule, written once in `_factor_kings`: x in
+H_i is a k-king of the flattened composition when u_i is an outer k-king and
+x reaches the rest of H_i within k, inside H_i or round an outer cycle
+through u_i of length at most k. Only `establish` flattens, to check its
+postcondition.
 """
 
 from __future__ import annotations
@@ -106,58 +103,47 @@ def k_kings(d: Digraph, k: int) -> KingReport:
     return KingReport(k=k, kings=kings, strict=strict, ecc_out=tuple(eccs))
 
 
-def composition_has_k_king(c: Composition, k: int) -> CompositionKingWitness:
-    """Whether the flattened composition has a k-king, decided without
-    flattening: it does exactly when some k-king u_i of the outer digraph
-    either heads a factor with its own k-king, or heads a factor with at
-    least two vertices while lying on an outer cycle of length at most k.
-
-    The outer digraph may be arbitrary. Returns the smallest qualifying
-    factor; a singleton factor qualifies through its trivial k-king.
-    """
+def _factor_kings(c: Composition, i: int, k: int) -> int:
+    """The k-kings of the flattened composition that lie in factor i, as a
+    mask over H_i: none when u_i is not an outer k-king, all of H_i when u_i
+    also lies on an outer cycle of length at most k, and otherwise the
+    k-kings of H_i. Both outer questions read one `_reach`. Refuses k < 2."""
     if k < 2:
         raise PreconditionError(f"king order must be >= 2, got {k}")
     out = c.outer.out_masks
-    full = (1 << c.t) - 1
+    reach = _reach(out, out[i], k - 1)
+    if reach | 1 << i != (1 << c.t) - 1:
+        return 0
+    h = c.factors[i]
+    if reach >> i & 1:
+        return (1 << h.n) - 1
+    return sum(1 << x for x in k_kings(h, k).kings)
+
+
+def composition_has_k_king(c: Composition, k: int) -> CompositionKingWitness:
+    """Whether the flattened composition has a k-king, decided without
+    flattening on an arbitrary outer digraph: the witness is the smallest
+    factor that holds one (`_factor_kings`). The reason is FACTOR_HAS_KING
+    when that factor has a k-king of its own (a singleton always does), else
+    SHORT_OUTER_CYCLE."""
     for i in range(c.t):
-        reach = _reach(out, out[i], k - 1)
-        if reach | 1 << i != full:
-            continue
-        h = c.factors[i]
-        if k_kings(h, k).kings:
-            return CompositionKingWitness(
-                exists=True,
-                witness_factor=i,
-                reason=KingWitnessReason.FACTOR_HAS_KING,
+        if _factor_kings(c, i, k):
+            reason = (
+                KingWitnessReason.FACTOR_HAS_KING
+                if k_kings(c.factors[i], k).kings
+                else KingWitnessReason.SHORT_OUTER_CYCLE
             )
-        if h.n >= 2 and reach >> i & 1:
-            return CompositionKingWitness(
-                exists=True,
-                witness_factor=i,
-                reason=KingWitnessReason.SHORT_OUTER_CYCLE,
-            )
+            return CompositionKingWitness(exists=True, witness_factor=i, reason=reason)
     return CompositionKingWitness(exists=False, witness_factor=None, reason=None)
 
 
 def composition_all_k_kings(c: Composition, k: int) -> bool:
-    """Whether every vertex of the flattened composition is a k-king: every
-    outer vertex must be a k-king of the outer, and each factor must either
-    consist entirely of its own k-kings or have at least two vertices with
-    its outer vertex on a cycle of length at most k."""
-    if k < 2:
-        raise PreconditionError(f"king order must be >= 2, got {k}")
-    out = c.outer.out_masks
-    full = (1 << c.t) - 1
-    for i in range(c.t):
-        reach = _reach(out, out[i], k - 1)
-        if reach | 1 << i != full:
-            return False
-        h = c.factors[i]
-        if h.n >= 2 and reach >> i & 1:
-            continue
-        if len(k_kings(h, k).kings) != h.n:
-            return False
-    return True
+    """Whether every vertex of the flattened composition is a k-king, decided
+    without flattening: every factor must consist entirely of k-kings
+    (`_factor_kings`), so every outer vertex must be an outer k-king."""
+    return all(
+        _factor_kings(c, i, k) == (1 << h.n) - 1 for i, h in enumerate(c.factors)
+    )
 
 
 def classify_three_kings(c: Composition) -> ThreeKingClassification:
@@ -165,6 +151,8 @@ def classify_three_kings(c: Composition) -> ThreeKingClassification:
     composition. Refuses non-strong input: the all-or-nothing split is only
     guaranteed in the strong case."""
     require_strong_semicomplete_composition(c)
+    # a set question about the outer: one eccentricity pass, where _factor_kings
+    # would walk each u_i to level 3 (in a tournament u_i reappears only there)
     outer3 = k_kings(c.outer, 3).kings
     flags = tuple(
         FactorKingFlag.ALL_3KINGS if i in outer3 else FactorKingFlag.NO_3KINGS
@@ -190,24 +178,22 @@ def non_king_dominator_witness(c: Composition, u: int) -> int:
     than 3 from u. Such a v always exists; failing to find one is a theorem
     violation, not a normal result.
 
-    Decided on the outer digraph: with u in factor i, the 3-kings are the
-    whole factors of the outer 3-kings, and every vertex of another factor j
-    dominates u when u_j -> u_i and sits at distance d_T(u_i, u_j) from u. So
-    v is vertex 0 of the smallest outer 3-king j outside the out-reach of
-    radius 3 of u_i with an arc u_j -> u_i."""
+    Decided on the outer digraph: with u in factor i, every vertex of another
+    factor j dominates u when u_j -> u_i and sits at distance d_T(u_i, u_j)
+    from u. So the candidates are the factors j with an arc u_j -> u_i outside
+    the out-reach of radius 3 of u_i, and v is the smallest 3-king
+    (`_factor_kings`) of the first candidate factor that holds one."""
     require_strong_semicomplete_composition(c)
-    i = c.locate(_check_vertex(c.total_vertices, u)).factor
-    outer = c.outer
-    kings = k_kings(outer, 3).kings
-    if i in kings:
+    i, inner, _ = c.locate(_check_vertex(c.total_vertices, u))
+    if _factor_kings(c, i, 3) >> inner & 1:
         raise PreconditionError(f"vertex {u} is a 3-king, not a non-king")
-    near = _reach(outer.out_masks, 1 << i, 3)
-    candidates = outer.in_masks[i] & ~near & sum(1 << j for j in kings)
-    if not candidates:
-        raise TheoremViolation(
-            f"no dominating 3-king at distance > 3 from non-king {u}", instance=c
-        )
-    return c.flat_id((candidates & -candidates).bit_length() - 1, 0)
+    candidates = c.outer.in_masks[i] & ~_reach(c.outer.out_masks, 1 << i, 3)
+    for j in range(c.t):
+        if candidates >> j & 1 and (kings := _factor_kings(c, j, 3)):
+            return c.flat_id(j, (kings & -kings).bit_length() - 1)
+    raise TheoremViolation(
+        f"no dominating 3-king at distance > 3 from non-king {u}", instance=c
+    )
 
 
 def can_establish(t: Digraph) -> EstablishReport:
@@ -272,16 +258,15 @@ def establish(c: Composition) -> Composition:
 
 
 def four_king_bound_report(c: Composition) -> FourKingReport:
-    """3- and 4-king counts of the flattened composition and whether the
+    """3- and 4-king counts of the flattened composition, summed over the
+    factors' king masks (`_factor_kings`) without flattening, and whether the
     guaranteed bounds hold: with at least six vertices there are at least
     five 4-kings, and at least eight when there is no 3-king. Below six
     vertices the bound is vacuous."""
     require_strong_semicomplete_composition(c)
-    q = flatten(c)
-    kings4 = k_kings(q, 4)
-    four = len(kings4.kings)
-    three = four - len(kings4.strict)
-    ok = q.n < 6 or (four >= 5 and (three > 0 or four >= 8))
-    return FourKingReport(
-        n=q.n, four_kings=four, three_kings=three, bound_satisfied=ok
+    n = c.total_vertices
+    four, three = (
+        sum(_factor_kings(c, i, k).bit_count() for i in range(c.t)) for k in (4, 3)
     )
+    ok = n < 6 or (four >= 5 and (three > 0 or four >= 8))
+    return FourKingReport(n=n, four_kings=four, three_kings=three, bound_satisfied=ok)

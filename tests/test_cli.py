@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 
@@ -409,6 +411,28 @@ class TestExperiment:
         assert saved["error"] == "guaranteed property failed"
         assert saved["instance"]["n"] == 1
 
+    def test_anomaly_is_saved_before_the_report_is_printed(self, tmp_path, monkeypatch):
+        import kingkernel.cli as cli_module
+
+        def fake(seed, instances=None):
+            result = ExperimentResult(
+                name="quasi-kernel", instances=1, checks=1, violations=0
+            )
+            result.record("forced failure", build_digraph(2, [(0, 1)]))
+            return result
+
+        class ClosedPipe(io.StringIO):
+            def write(self, s):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setitem(cli_module.EXPERIMENTS, "quasi-kernel", fake)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            main(["experiment", "quasi-kernel"])
+        saved = json.loads((tmp_path / "kk-anomaly.json").read_text(encoding="utf-8"))
+        assert "forced failure" in saved["detail"]
+
 
 class TestValidate:
     def test_digraph_summary(self, capsys, three_cycle_file):
@@ -474,3 +498,19 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kings"] == [0, 1, 2]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+    def test_closed_stdout_ends_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kingkernel", "gen", "--seed", "1", "--n", "5"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == -signal.SIGPIPE

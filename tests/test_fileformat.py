@@ -133,6 +133,19 @@ class TestJson:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("t", ["2.0", "true"])
+    def test_factor_count_must_be_an_integer(self, t, tmp_path, capsys):
+        text = (
+            f'{{"t": {t}, "outer": {{"n": 2, "arcs": [[0, 1]]}},'
+            ' "factors": [{"n": 1, "arcs": []}, {"n": 1, "arcs": []}]}'
+        )
+        with pytest.raises(FormatError, match="'t' must be an integer"):
+            parse_any(text)
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestParseAny:
     def test_text_digraph(self):

@@ -50,6 +50,7 @@ from kingkernel.fileformat import (
     parse_composition,
     parse_digraph,
 )
+from kingkernel.kings import _factor_kings
 from bruteforce import (
     brute_components,
     brute_distances,
@@ -230,6 +231,16 @@ class TestKingProjection:
             outer_kings = k_kings(c.outer, k).kings
             for flat in k_kings(q, k).kings:
                 assert c.locate(flat).factor in outer_kings
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(compositions(), path_like_compositions()))
+    def test_factor_king_masks_match_the_flat_kings(self, c):
+        q = flatten(c)
+        for k in (2, 3, 4, 5, 6):
+            flat_kings = brute_k_kings(q, k)
+            for i, off in enumerate(c.offsets):
+                block = {x for x in range(c.factors[i].n) if off + x in flat_kings}
+                assert _factor_kings(c, i, k) == sum(1 << x for x in block)
 
     @settings(deadline=None, max_examples=60)
     @given(digraphs(min_n=2), st.data())
