@@ -366,6 +366,12 @@ class TestGen:
         assert "sizes" in err
 
 
+def one_violation(seed, instances=None):
+    result = ExperimentResult(name="quasi-kernel", instances=1, checks=1, violations=0)
+    result.record("forced failure", build_digraph(2, [(0, 1)]))
+    return result
+
+
 class TestExperiment:
     def test_small_run_reports_clean(self, capsys):
         code, payload = run_json(
@@ -379,14 +385,7 @@ class TestExperiment:
     def test_recorded_violations_exit_three(self, capsys, tmp_path, monkeypatch):
         import kingkernel.cli as cli_module
 
-        def fake(seed, instances=None):
-            result = ExperimentResult(
-                name="quasi-kernel", instances=1, checks=1, violations=0
-            )
-            result.record("forced failure", build_digraph(2, [(0, 1)]))
-            return result
-
-        monkeypatch.setitem(cli_module.EXPERIMENTS, "quasi-kernel", fake)
+        monkeypatch.setitem(cli_module.EXPERIMENTS, "quasi-kernel", one_violation)
         monkeypatch.chdir(tmp_path)
         code, _, err = run_cli(capsys, "experiment", "quasi-kernel")
         assert code == 3
@@ -414,18 +413,11 @@ class TestExperiment:
     def test_anomaly_is_saved_before_the_report_is_printed(self, tmp_path, monkeypatch):
         import kingkernel.cli as cli_module
 
-        def fake(seed, instances=None):
-            result = ExperimentResult(
-                name="quasi-kernel", instances=1, checks=1, violations=0
-            )
-            result.record("forced failure", build_digraph(2, [(0, 1)]))
-            return result
-
         class ClosedPipe(io.StringIO):
             def write(self, s):
                 raise BrokenPipeError(32, "Broken pipe")
 
-        monkeypatch.setitem(cli_module.EXPERIMENTS, "quasi-kernel", fake)
+        monkeypatch.setitem(cli_module.EXPERIMENTS, "quasi-kernel", one_violation)
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         with pytest.raises(BrokenPipeError):
