@@ -4,7 +4,8 @@ Every subcommand reads a digraph or composition from a file (``-`` for
 stdin), runs one library operation, and prints the result as JSON (default)
 or a plain text summary. Exit status: 0 success, 1 precondition or
 generation failure, 2 malformed input or usage, 3 a guaranteed property
-failed to hold (the offending instance is dumped to ``kk-anomaly.json``).
+failed to hold (the offending instance is saved to ``kk-anomaly.json``, or
+stderr says why it could not be).
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from .composition import Composition, flatten, require_strong_semicomplete_compo
 from .digraph import Digraph, DigraphClass, UNREACHABLE, classify_digraph
 from .errors import FormatError, GenerationError, PreconditionError, TheoremViolation
 from .experiments import DEFAULT_SEED, EXPERIMENTS
-from .fileformat import (
-    composition_to_json,
-    digraph_to_json,
-    format_composition,
-    format_digraph,
-    parse_any,
-    to_dot,
-)
+from .fileformat import _to_json, format_composition, format_digraph, parse_any, to_dot
 from .gen import Constraint, GenSpec, Kind, generate
 from .kernels import (
     DEFAULT_ORACLE_CAP,
@@ -57,6 +51,8 @@ def _read_source(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_any(path: str) -> Digraph | Composition:
@@ -90,15 +86,6 @@ def _classification_json(cls: DigraphClass) -> dict[str, Any]:
     }
 
 
-def _certificate_json(cert: KernelCertificate) -> dict[str, Any]:
-    return {
-        "kind": cert.kind.name,
-        "k": cert.k,
-        "vertices": sorted(cert.vertices),
-        "validated": cert.validated,
-    }
-
-
 def _emit(args: argparse.Namespace, payload: dict[str, Any], text: str) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -107,8 +94,12 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], text: str) -> None:
 
 
 def _write_text(path: str | None, content: str) -> None:
-    if path is not None:
+    if path is None:
+        return
+    try:
         Path(path).write_text(content, encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _id_line(label: str, ids: Any) -> str:
@@ -179,15 +170,7 @@ def _cmd_establish(args: argparse.Namespace) -> int:
     c = _load_composition(args.input)
     require_strong_semicomplete_composition(c)
     report = can_establish(c.outer)
-    payload: dict[str, Any] = {
-        "can_establish": {
-            "ok": report.ok,
-            "strict_three_kings": sorted(report.strict_three_kings),
-            "two_kings": sorted(report.two_kings),
-            "blocking_two_kings": sorted(report.blocking_two_kings),
-        },
-        "composition": None,
-    }
+    payload: dict[str, Any] = {"can_establish": _to_json(report), "composition": None}
     if not report.ok:
         _emit(
             args,
@@ -198,7 +181,7 @@ def _cmd_establish(args: argparse.Namespace) -> int:
         print("error: the outer digraph admits no establishing extension", file=sys.stderr)
         return 1
     extended = establish(c)
-    payload["composition"] = composition_to_json(extended)
+    payload["composition"] = _to_json(extended)
     _write_text(args.output, format_composition(extended))
     text = "\n".join(
         [
@@ -214,15 +197,14 @@ def _cmd_establish(args: argparse.Namespace) -> int:
 def _cmd_quasikernel(args: argparse.Namespace) -> int:
     d = _load_digraph_view(args.input)
     cert = quasi_kernel(d)
-    payload = _certificate_json(cert)
-    _emit(args, payload, _id_line("quasi-kernel", cert.vertices))
+    _emit(args, _to_json(cert), _id_line("quasi-kernel", cert.vertices))
     return 0
 
 
 def _cmd_disjoint_qk(args: argparse.Namespace) -> int:
     c = _load_composition(args.input)
     first, second = disjoint_quasi_kernels(c)
-    payload = {"first": _certificate_json(first), "second": _certificate_json(second)}
+    payload = {"first": _to_json(first), "second": _to_json(second)}
     text = "\n".join(
         [_id_line("first", first.vertices), _id_line("second", second.vertices)]
     )
@@ -234,7 +216,7 @@ def _kernel_payload(k: int, cert: KernelCertificate | None) -> dict[str, Any]:
     return {
         "k": k,
         "exists": cert is not None,
-        "certificate": None if cert is None else _certificate_json(cert),
+        "certificate": _to_json(cert),
     }
 
 
@@ -287,7 +269,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             "gadget_has_3kernel": lifted is not None,
             "agree": (direct is not None) == (lifted is not None),
         }
-    payload = {"composition": composition_to_json(gadget), "check": check}
+    payload = {"composition": _to_json(gadget), "check": check}
     _write_text(args.output, format_composition(gadget))
     lines = [f"gadget with {gadget.t} factors, {gadget.total_vertices} vertices"]
     if check is not None:
@@ -296,6 +278,17 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         lines.append(f"agree: {check['agree']}")
     _emit(args, payload, "\n".join(lines))
     return 0
+
+
+def _count(raw: str) -> int:
+    """A non-negative integer option; argparse turns the errors into exit 2."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _parse_sizes(raw: str | None) -> tuple[int | None, int | None]:
@@ -330,20 +323,6 @@ def _parse_constraints(raw: str | None) -> frozenset[Constraint]:
     return frozenset(out)
 
 
-def _spec_json(spec: GenSpec) -> dict[str, Any]:
-    return {
-        "seed": spec.seed,
-        "kind": spec.kind.name,
-        "n": spec.n,
-        "t": spec.t,
-        "size_min": spec.size_min,
-        "size_max": spec.size_max,
-        "p": spec.p,
-        "p2": spec.p2,
-        "constraints": sorted(c.name for c in spec.constraints),
-    }
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     size_min, size_max = _parse_sizes(args.sizes)
     spec = GenSpec(
@@ -358,13 +337,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         constraints=_parse_constraints(args.constraints),
     )
     obj = generate(spec)
-    payload: dict[str, Any] = {"spec": _spec_json(spec)}
-    if isinstance(obj, Composition):
-        payload["composition"] = composition_to_json(obj)
-        text = format_composition(obj)
-    else:
-        payload["digraph"] = digraph_to_json(obj)
-        text = format_digraph(obj)
+    # keyed "digraph" or "composition" by the instance's type
+    payload = {"spec": _to_json(spec), type(obj).__name__.lower(): _to_json(obj)}
+    text = format_composition(obj) if isinstance(obj, Composition) else format_digraph(obj)
     _write_text(args.output, text)
     if args.dot is not None:
         _write_text(args.dot, to_dot(obj))
@@ -388,15 +363,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if result.violations:
         # saved before the report is printed, so a closed stdout cannot lose it
         detail = result.failures[0] if result.failures else {}
-        path = _write_anomaly(
+        saved = _write_anomaly(
             {"error": f"{result.name}: {result.violations} violations", **detail}
         )
     _emit(args, payload, "\n".join(lines))
     if result.violations:
-        print(
-            f"anomaly: {result.violations} violations (first saved to {path})",
-            file=sys.stderr,
-        )
+        print(f"anomaly: {result.violations} violations (first {saved})", file=sys.stderr)
         return 3
     return 0
 
@@ -521,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("experiment", "run a property-checking corpus", _cmd_experiment)
     p.add_argument("name", choices=sorted(EXPERIMENTS), help="experiment name")
-    p.add_argument("--seeds", type=int, help="instance count override")
+    p.add_argument("--seeds", type=_count, help="instance count override")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed")
 
     p = add("validate", "parse a file and report what it contains", _cmd_validate)
@@ -532,19 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_anomaly(report: dict[str, Any]) -> str:
-    """Save a failure report to ANOMALY_FILE and return its path."""
-    Path(ANOMALY_FILE).write_text(
-        json.dumps(report, indent=2, sort_keys=True), encoding="utf-8"
-    )
-    return ANOMALY_FILE
-
-
-def _instance_json(instance: Any) -> Any:
-    if isinstance(instance, Composition):
-        return composition_to_json(instance)
-    if isinstance(instance, Digraph):
-        return digraph_to_json(instance)
-    return None if instance is None else repr(instance)
+    """Save a failure report to ANOMALY_FILE. Returns where it went, or why
+    it could not be saved; either way the run still exits 3."""
+    try:
+        _write_text(ANOMALY_FILE, json.dumps(report, indent=2, sort_keys=True))
+    except FormatError as exc:
+        return f"not saved: {exc}"
+    return f"saved to {ANOMALY_FILE}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -562,9 +528,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TheoremViolation as exc:
-        report = {"error": str(exc), "instance": _instance_json(exc.instance)}
-        path = _write_anomaly(report)
-        print(f"anomaly: {exc} (instance saved to {path})", file=sys.stderr)
+        saved = _write_anomaly({"error": str(exc), "instance": _to_json(exc.instance)})
+        print(f"anomaly: {exc} (instance {saved})", file=sys.stderr)
         return 3
 
 

@@ -37,7 +37,7 @@ from .digraph import (
     out_eccentricities,
 )
 from .errors import GenerationError, PreconditionError, TheoremViolation
-from .fileformat import composition_to_json, digraph_to_json
+from .fileformat import _to_json
 from .gen import (
     Constraint,
     GenSpec,
@@ -90,22 +90,13 @@ class ExperimentResult:
         self.violations += 1
         if len(self.failures) < MAX_KEPT_FAILURES:
             entry: dict[str, Any] = {"detail": detail}
-            if isinstance(instance, Composition):
-                entry["composition"] = composition_to_json(instance)
-            elif isinstance(instance, Digraph):
-                entry["digraph"] = digraph_to_json(instance)
+            if instance is not None:
+                # keyed "digraph" or "composition" by the instance's type
+                entry[type(instance).__name__.lower()] = _to_json(instance)
             self.failures.append(entry)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "instances": self.instances,
-            "checks": self.checks,
-            "violations": self.violations,
-            "failures": self.failures,
-            "info": self.info,
-            "elapsed_s": round(self.elapsed_s, 3),
-        }
+        return {**_to_json(self), "elapsed_s": round(self.elapsed_s, 3)}
 
 
 Body = Callable[[ExperimentResult, int, int], None]

@@ -15,11 +15,18 @@ Text formats ('#' starts a comment, blank lines are ignored):
 JSON equivalents mirror the same structure: {"n": ..., "arcs": [[u, v], ...]}
 for digraphs, {"t": ..., "outer": {...}, "factors": [{...}, ...]} for
 compositions. Parsers auto-detect JSON input by a leading '{'.
+
+Every result the package reports (certificates, reports, generation specs,
+experiment results) reaches JSON through one rule, `_to_json`: a digraph or
+composition takes the encoding above, a dataclass maps its fields by name,
+an enum member becomes its name, and a set becomes a sorted list.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from typing import Any, Iterator
 
 from .composition import Composition, compose, flatten
@@ -162,6 +169,25 @@ def composition_to_json(c: Composition) -> dict[str, Any]:
         "outer": digraph_to_json(c.outer),
         "factors": [digraph_to_json(h) for h in c.factors],
     }
+
+
+def _to_json(value: Any) -> Any:
+    """The JSON form of a value the package reports. Lists and dicts pass
+    through unchanged: the ones results carry are already JSON."""
+    if isinstance(value, Digraph):
+        return digraph_to_json(value)
+    if isinstance(value, Composition):
+        return composition_to_json(value)
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.name
+    if isinstance(value, (set, frozenset)):
+        # a set holds one type: vertex ids sort as they are, enum members by name
+        if value and isinstance(next(iter(value)), Enum):
+            return sorted(map(_to_json, value))
+        return sorted(value)
+    return value
 
 
 def _is_int(x: Any) -> bool:
