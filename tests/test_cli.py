@@ -68,6 +68,14 @@ def strong_composition_file(tmp_path):
 
 
 @pytest.fixture
+def establishable_composition_file(tmp_path):
+    factors = tuple(build_digraph(1, []) for _ in range(6))
+    path = tmp_path / "six.cmp"
+    path.write_text(format_composition(compose(ESTABLISHABLE_SIX, factors)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
 def transitive_composition_file(tmp_path):
     outer = build_digraph(3, [(0, 1), (0, 2), (1, 2)])
     factors = tuple(build_digraph(1, []) for _ in range(3))
@@ -162,6 +170,15 @@ class TestParseErrors:
         code, _, err = run_cli(capsys, "kings", str(tmp_path / "absent.dg"), "--k", "2")
         assert code == 2
         assert "absent.dg" in err
+
+    def test_undecodable_file_is_a_format_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.dg"
+        bad.write_bytes(b"digraph 2\n0 1\n\xff\n")
+        code, out, err = run_cli(capsys, "kings", str(bad), "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}: ")
+        assert "decode" in err
 
     def test_unknown_header(self, capsys, tmp_path):
         bad = tmp_path / "odd.dg"
@@ -290,15 +307,12 @@ class TestReduce:
 
 
 class TestEstablish:
-    def test_eligible_composition_is_extended(self, capsys, tmp_path):
-        factors = tuple(build_digraph(1, []) for _ in range(6))
-        src = tmp_path / "six.cmp"
-        src.write_text(
-            format_composition(compose(ESTABLISHABLE_SIX, factors)), encoding="utf-8"
-        )
+    def test_eligible_composition_is_extended(
+        self, capsys, tmp_path, establishable_composition_file
+    ):
         out = tmp_path / "extended.cmp"
         code, payload = run_json(
-            capsys, "establish", str(src), "--output", str(out)
+            capsys, "establish", establishable_composition_file, "--output", str(out)
         )
         assert code == 0
         checked(payload, "establish")
@@ -320,6 +334,30 @@ class TestEstablish:
         payload = json.loads(out)
         assert payload["can_establish"]["ok"] is False
         assert payload["can_establish"]["blocking_two_kings"] == [0, 1]
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--seed", "1", "--n", "4", "--output", "{out}"],
+            ["gen", "--seed", "1", "--n", "4", "--dot", "{out}"],
+            ["validate", "{cycle}", "--dot", "{out}"],
+            ["establish", "{eligible}", "--output", "{out}"],
+            ["reduce", "{cycle}", "--output", "{out}"],
+        ],
+        ids=["gen-output", "gen-dot", "validate-dot", "establish-output", "reduce-output"],
+    )
+    def test_exits_two_with_the_reason(
+        self, capsys, tmp_path, three_cycle_file, establishable_composition_file, argv
+    ):
+        out_path = tmp_path / "missing" / "x.txt"
+        files = {"cycle": three_cycle_file, "eligible": establishable_composition_file}
+        filled = [a.format(out=out_path, **files) for a in argv]
+        code, out, err = run_cli(capsys, *filled)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ")
 
 
 class TestGen:
@@ -372,6 +410,10 @@ def one_violation(seed, instances=None):
     return result
 
 
+def guarantee_breach(seed, instances=None):
+    raise TheoremViolation("guaranteed property failed", instance=build_digraph(1, []))
+
+
 class TestExperiment:
     def test_small_run_reports_clean(self, capsys):
         code, payload = run_json(
@@ -397,12 +439,7 @@ class TestExperiment:
     def test_guarantee_breach_saves_the_instance(self, capsys, tmp_path, monkeypatch):
         import kingkernel.cli as cli_module
 
-        def explode(seed, instances=None):
-            raise TheoremViolation(
-                "guaranteed property failed", instance=build_digraph(1, [])
-            )
-
-        monkeypatch.setitem(cli_module.EXPERIMENTS, "quasi-kernel", explode)
+        monkeypatch.setitem(cli_module.EXPERIMENTS, "quasi-kernel", guarantee_breach)
         monkeypatch.chdir(tmp_path)
         code, _, err = run_cli(capsys, "experiment", "quasi-kernel")
         assert code == 3
@@ -424,6 +461,24 @@ class TestExperiment:
             main(["experiment", "quasi-kernel"])
         saved = json.loads((tmp_path / "kk-anomaly.json").read_text(encoding="utf-8"))
         assert "forced failure" in saved["detail"]
+
+    @pytest.mark.parametrize("runner", [one_violation, guarantee_breach])
+    def test_unsaved_anomaly_still_exits_three(self, capsys, tmp_path, monkeypatch, runner):
+        import kingkernel.cli as cli_module
+
+        monkeypatch.setitem(cli_module.EXPERIMENTS, "quasi-kernel", runner)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kk-anomaly.json").mkdir()
+        code, _, err = run_cli(capsys, "experiment", "quasi-kernel")
+        assert code == 3
+        assert "not saved: cannot write kk-anomaly.json: " in err
+        assert "saved to" not in err
+
+    def test_negative_instance_count_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "experiment", "quasi-kernel", "--seeds", "-3")
+        assert code == 2
+        assert out == ""
+        assert "--seeds: must be at least 0, got -3" in err
 
 
 class TestValidate:

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 
+import jsonschema
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kingkernel import (
     UNREACHABLE,
     CertificateKind,
+    Constraint,
+    Digraph,
+    GenSpec,
     KernelCertificate,
+    Kind,
     PreconditionError,
     build_digraph,
     c3_gadget,
@@ -36,11 +42,13 @@ from kingkernel import (
     out_eccentricities,
     quasi_kernel,
     singleton_quasi_kernels,
+    schemas,
     validate_certificate,
 )
 from kingkernel.digraph import _reach
-from kingkernel.experiments import path_like_tournament
+from kingkernel.experiments import MAX_KEPT_FAILURES, ExperimentResult, path_like_tournament
 from kingkernel.fileformat import (
+    _to_json,
     composition_from_json,
     composition_to_json,
     digraph_from_json,
@@ -521,3 +529,101 @@ class TestRoundTrips:
     @given(compositions())
     def test_composition_json_round_trip(self, c):
         assert composition_from_json(composition_to_json(c)) == c
+
+
+@st.composite
+def gen_specs(draw):
+    maybe_int = st.none() | st.integers(0, 50)
+    return GenSpec(
+        seed=draw(st.integers(-(2**63), 2**64)),
+        kind=draw(st.sampled_from(list(Kind))),
+        n=draw(maybe_int),
+        t=draw(maybe_int),
+        size_min=draw(maybe_int),
+        size_max=draw(maybe_int),
+        p=draw(st.floats(0, 1)),
+        p2=draw(st.floats(0, 1)),
+        constraints=draw(st.frozensets(st.sampled_from(list(Constraint)))),
+    )
+
+
+@st.composite
+def certificates(draw):
+    return KernelCertificate(
+        kind=draw(st.sampled_from(list(CertificateKind))),
+        vertices=draw(st.frozensets(st.integers(0, 60))),
+        k=draw(st.none() | st.integers(2, 9)),
+        validated=draw(st.booleans()),
+    )
+
+
+def as_json(value):
+    """The serialized form, after a trip through the JSON text itself."""
+    return json.loads(json.dumps(_to_json(value)))
+
+
+class TestResultJson:
+    """_to_json against the hand-written field lists it replaced and the
+    CLI's schemas."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(gen_specs())
+    def test_generation_spec(self, spec):
+        payload = as_json(spec)
+        jsonschema.validate(payload, schemas.GENSPEC)
+        assert payload == {
+            "seed": spec.seed,
+            "kind": spec.kind.name,
+            "n": spec.n,
+            "t": spec.t,
+            "size_min": spec.size_min,
+            "size_max": spec.size_max,
+            "p": spec.p,
+            "p2": spec.p2,
+            "constraints": sorted(c.name for c in spec.constraints),
+        }
+
+    @settings(deadline=None, max_examples=100)
+    @given(certificates())
+    def test_certificate(self, cert):
+        payload = as_json(cert)
+        jsonschema.validate(payload, schemas.CERTIFICATE)
+        assert payload == {
+            "kind": cert.kind.name,
+            "k": cert.k,
+            "vertices": sorted(cert.vertices),
+            "validated": cert.validated,
+        }
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(semicompletes(min_n=1, max_n=7), path_like_outers(min_t=3)))
+    def test_establishment_report(self, t):
+        assume(is_strong(t))
+        report = can_establish(t)
+        payload = as_json(report)
+        jsonschema.validate(payload, schemas.ESTABLISH["properties"]["can_establish"])
+        assert payload == {
+            "ok": report.ok,
+            "strict_three_kings": sorted(report.strict_three_kings),
+            "two_kings": sorted(report.two_kings),
+            "blocking_two_kings": sorted(report.blocking_two_kings),
+        }
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.one_of(digraphs(), compositions()), max_size=7))
+    def test_experiment_result(self, instances):
+        res = ExperimentResult("x", len(instances), 2 * len(instances), 0)
+        for i, instance in enumerate(instances):
+            res.record(f"failure {i}", instance)
+        payload = as_json(res.to_json())
+        jsonschema.validate(payload, schemas.EXPERIMENT)
+        assert payload["violations"] == len(instances)
+        assert len(payload["failures"]) == min(len(instances), MAX_KEPT_FAILURES)
+        for i, (entry, instance) in enumerate(zip(payload["failures"], instances)):
+            if isinstance(instance, Digraph):
+                assert entry == {"detail": f"failure {i}", "digraph": digraph_to_json(instance)}
+                jsonschema.validate(entry["digraph"], schemas.DIGRAPH)
+            else:
+                expected = composition_to_json(instance)
+                assert entry == {"detail": f"failure {i}", "composition": expected}
+                jsonschema.validate(entry["composition"], schemas.COMPOSITION)
