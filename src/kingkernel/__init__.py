@@ -22,7 +22,6 @@ from .digraph import (
     UNREACHABLE,
     build_digraph,
     classify_digraph,
-    converse,
     distances_from,
     distances_to,
     induced_subdigraph,
@@ -97,7 +96,6 @@ __all__ = [
     "composition_all_k_kings",
     "composition_has_k_king",
     "composition_k_kernel",
-    "converse",
     "derive",
     "disjoint_quasi_kernels",
     "distances_from",

@@ -11,6 +11,7 @@ stderr says why it could not be).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import signal
@@ -45,10 +46,11 @@ ANOMALY_FILE = "kk-anomaly.json"
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The text of the file at path, or of stdin for '-', decoded by one rule:
+    strict UTF-8 with universal newlines, as `open` reads a text file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

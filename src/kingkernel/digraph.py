@@ -179,11 +179,6 @@ def out_eccentricities(d: Digraph) -> list[Dist]:
     return eccs
 
 
-def converse(d: Digraph) -> Digraph:
-    """Reverse every arc. The two mask tuples are swapped, not copied."""
-    return Digraph(n=d.n, out_masks=d.in_masks, in_masks=d.out_masks)
-
-
 def is_strong(d: Digraph) -> bool:
     """One strong component covering every vertex: vertex 0 reaches every
     vertex and every vertex reaches it. The empty digraph and the single

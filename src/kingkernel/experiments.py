@@ -222,8 +222,7 @@ def three_king_count(
         res.instances += 1
         classification = classify_three_kings(c)
         claimed = classified_flat_three_kings(c, classification)
-        eccs = out_eccentricities(flatten(c))
-        direct = frozenset(v for v, e in enumerate(eccs) if e <= 3)
+        direct = k_kings(flatten(c), 3).kings
         res.checks += 2
         if claimed != direct:
             res.record("classification disagrees with brute-force 3-kings", c)
@@ -340,8 +339,7 @@ def establishment(
     res: ExperimentResult, seed: int, instances: int
 ) -> None:
     """The establishment construction yields an extension whose 3-king set is
-    exactly the original vertex set, re-verified here by direct
-    eccentricities."""
+    exactly the original vertex set, re-verified here by flat k_kings."""
     outers, info = _establishable_outers(seed, instances)
     res.info.update(info)
     for idx in range(min(instances, len(outers))):
@@ -361,9 +359,7 @@ def establishment(
         except TheoremViolation as exc:
             res.record(f"establishment postcondition failed: {exc}", c)
             continue
-        eccs = out_eccentricities(flatten(extended))
-        kings3 = frozenset(v for v, e in enumerate(eccs) if e <= 3)
-        if kings3 != frozenset(range(c.total_vertices)):
+        if k_kings(flatten(extended), 3).kings != frozenset(range(c.total_vertices)):
             res.record("re-verification of the extension's 3-king set failed", c)
 
 
@@ -601,8 +597,7 @@ def fixture_regression(
         res.record("flattened fixture has a source", c)
     if not classify_digraph(c.outer).sources:
         res.record("outer digraph of the fixture has no source", c)
-    eccs = out_eccentricities(q)
-    if frozenset(v for v, e in enumerate(eccs) if e <= 3) != frozenset({3}):
+    if k_kings(q, 3).kings != frozenset({3}):
         res.record("fixture's 3-king set is not exactly {3}", c)
     if q.has_arc(3, 0) or q.has_arc(0, 3):
         res.record("fixture has an arc between flat vertices 3 and 0", c)

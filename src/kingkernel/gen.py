@@ -254,37 +254,31 @@ def unique_three_king_fixture() -> Composition:
     return compose(outer, (path, singleton, singleton))
 
 
-def all_tournaments(n: int) -> Iterator[Digraph]:
-    """Every labeled tournament on n vertices (not isomorph-reduced);
-    2^(n choose 2) digraphs, intended for n <= 6."""
+def _all_orientations(n: int, states: int) -> Iterator[Digraph]:
+    """Every labeled digraph on n vertices whose pairs each take one of
+    `states` digits: 0 is i -> j, 1 is j -> i, 2 is both. Codes count up in
+    base `states`, the first pair being the lowest digit."""
     if n < 1:
         raise PreconditionError(f"need n >= 1, got {n}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for code in range(1 << len(pairs)):
-        arcs = [
-            (i, j) if not (code >> b) & 1 else (j, i)
-            for b, (i, j) in enumerate(pairs)
-        ]
+    for code in range(states ** len(pairs)):
+        arcs: list[tuple[int, int]] = []
+        for i, j in pairs:
+            code, digit = divmod(code, states)
+            if digit != 1:
+                arcs.append((i, j))
+            if digit != 0:
+                arcs.append((j, i))
         yield build_digraph(n, arcs)
+
+
+def all_tournaments(n: int) -> Iterator[Digraph]:
+    """Every labeled tournament on n vertices (not isomorph-reduced);
+    2^(n choose 2) digraphs, intended for n <= 6."""
+    return _all_orientations(n, 2)
 
 
 def all_semicomplete_digraphs(n: int) -> Iterator[Digraph]:
     """Every labeled semicomplete digraph on n vertices: each pair is forward,
     backward, or bidirected; 3^(n choose 2) digraphs, intended for n <= 5."""
-    if n < 1:
-        raise PreconditionError(f"need n >= 1, got {n}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for code in range(3 ** len(pairs)):
-        arcs: list[tuple[int, int]] = []
-        rest = code
-        for i, j in pairs:
-            digit = rest % 3
-            rest //= 3
-            if digit == 0:
-                arcs.append((i, j))
-            elif digit == 1:
-                arcs.append((j, i))
-            else:
-                arcs.append((i, j))
-                arcs.append((j, i))
-        yield build_digraph(n, arcs)
+    return _all_orientations(n, 3)

@@ -8,7 +8,7 @@ instead of offset bookkeeping. Slow on purpose; used only on small inputs.
 
 from __future__ import annotations
 
-from kingkernel import Composition, Digraph
+from kingkernel import Composition, Digraph, build_digraph
 
 INF = float("inf")
 
@@ -23,6 +23,11 @@ def brute_distances(d: Digraph, s: int) -> list[float]:
             if dist[u] + 1 < dist[v]:
                 dist[v] = dist[u] + 1
     return dist
+
+
+def reverse_arcs(d: Digraph) -> Digraph:
+    """Every arc turned round, rebuilt from the arc list."""
+    return build_digraph(d.n, [(v, u) for u, v in d.arcs()])
 
 
 def reachability_matrix(d: Digraph) -> list[list[bool]]:

@@ -31,6 +31,12 @@ ESTABLISHABLE_SIX = build_digraph(
 )
 
 
+def stdin_bytes(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin with a byte buffer behind it. Its text layer
+    escapes bad bytes, as stdin does under the C locale or UTF-8 mode."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -94,7 +100,7 @@ class TestKings:
         assert payload["ecc"] == [2, 2, 2]
 
     def test_reads_standard_input(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(THREE_CYCLE_TEXT))
+        monkeypatch.setattr(sys, "stdin", stdin_bytes(THREE_CYCLE_TEXT.encode()))
         code, payload = run_json(capsys, "kings", "-", "--k", "2")
         assert code == 0
         assert payload["kings"] == [0, 1, 2]
@@ -179,6 +185,20 @@ class TestParseErrors:
         assert out == ""
         assert err.startswith(f"error: cannot read {bad}: ")
         assert "decode" in err
+
+    def test_undecodable_stdin_is_read_by_the_file_rule(self, capsys, monkeypatch, tmp_path):
+        data = b'{"n": 2, "arcs": [[0, 1]], "note": "\xff"}'
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        file_code, _, file_err = run_cli(capsys, "validate", str(bad))
+        monkeypatch.setattr(sys, "stdin", stdin_bytes(data))
+        code, out, err = run_cli(capsys, "validate", "-")
+        assert (code, file_code) == (2, 2)
+        assert out == ""
+        assert err.startswith("error: cannot read -: ")
+        assert err.removeprefix("error: cannot read -") == file_err.removeprefix(
+            f"error: cannot read {bad}"
+        )
 
     def test_unknown_header(self, capsys, tmp_path):
         bad = tmp_path / "odd.dg"

@@ -11,7 +11,6 @@ from kingkernel import (
     UNREACHABLE,
     build_digraph,
     classify_digraph,
-    converse,
     distances_from,
     distances_to,
     induced_subdigraph,
@@ -22,7 +21,7 @@ from kingkernel import (
 from kingkernel.digraph import _levels
 from kingkernel.gen import random_digraph
 
-from bruteforce import brute_distances
+from bruteforce import brute_distances, reverse_arcs
 
 
 def path(n: int) -> Digraph:
@@ -100,7 +99,7 @@ class TestDistances:
     def test_distances_to_is_converse_view(self):
         d = build_digraph(4, [(0, 1), (1, 2), (3, 1), (2, 3)])
         for v in range(4):
-            assert distances_to(d, v) == distances_from(converse(d), v)
+            assert distances_to(d, v) == distances_from(reverse_arcs(d), v)
 
     def test_unreachable_marker_semantics(self):
         # the marker must survive comparisons against any finite distance
@@ -119,7 +118,7 @@ class TestMultiWordMasks:
     def test_distances_match_bellman_ford(self):
         for s in (0, 1, 63, 64, 129):
             assert distances_from(self.d, s) == brute_distances(self.d, s)
-            assert distances_to(self.d, s) == brute_distances(converse(self.d), s)
+            assert distances_to(self.d, s) == brute_distances(reverse_arcs(self.d), s)
 
     def test_eccentricities_match_bellman_ford(self):
         assert out_eccentricities(self.d) == [
@@ -222,23 +221,6 @@ class TestMinCycle:
     def test_vertex_out_of_range(self):
         with pytest.raises(PreconditionError):
             min_cycle_length_through(cycle(3), 5)
-
-
-class TestConverse:
-    def test_path_reverses(self):
-        assert list(converse(path(3)).arcs()) == [(1, 0), (2, 1)]
-
-    def test_two_cycle_is_fixed_point(self):
-        d = build_digraph(2, [(0, 1), (1, 0)])
-        assert converse(d) == d
-
-    def test_arcless_is_fixed_point(self):
-        d = build_digraph(3, [])
-        assert converse(d) == d
-
-    def test_involution(self):
-        d = build_digraph(5, [(0, 3), (3, 1), (1, 4), (4, 0), (2, 0)])
-        assert converse(converse(d)) == d
 
 
 class TestInduced:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import math
 from itertools import combinations
@@ -26,7 +27,6 @@ from kingkernel import (
     composition_all_k_kings,
     composition_has_k_king,
     composition_k_kernel,
-    converse,
     disjoint_quasi_kernels,
     distances_from,
     distances_to,
@@ -46,7 +46,13 @@ from kingkernel import (
     validate_certificate,
 )
 from kingkernel.digraph import _reach
-from kingkernel.experiments import MAX_KEPT_FAILURES, ExperimentResult, path_like_tournament
+from kingkernel.experiments import (
+    DEFAULT_SEED,
+    MAX_KEPT_FAILURES,
+    ExperimentResult,
+    _establishable_outers,
+    path_like_tournament,
+)
 from kingkernel.fileformat import (
     _to_json,
     composition_from_json,
@@ -67,6 +73,7 @@ from bruteforce import (
     brute_is_quasi_kernel,
     brute_k_kings,
     brute_min_cycle_through,
+    reverse_arcs,
 )
 
 
@@ -151,7 +158,7 @@ class TestDistances:
     @settings(deadline=None, max_examples=80)
     @given(digraphs(min_n=1))
     def test_inbound_distances_are_outbound_in_the_converse(self, d):
-        rev = converse(d)
+        rev = reverse_arcs(d)
         for v in range(d.n):
             assert distances_to(d, v) == distances_from(rev, v)
 
@@ -162,7 +169,7 @@ class TestDistances:
         sources = data.draw(st.sets(st.integers(0, d.n - 1)))
         mask = sum(1 << s for s in sources)
         out_dist = [brute_distances(d, s) for s in range(d.n)]
-        in_dist = [brute_distances(converse(d), s) for s in range(d.n)]
+        in_dist = [brute_distances(reverse_arcs(d), s) for s in range(d.n)]
 
         def near(dist, depth):
             return sum(1 << v for v in range(d.n) if any(dist[s][v] <= depth for s in sources))
@@ -179,11 +186,6 @@ class TestDistances:
                 onward = _reach(d.out_masks, d.out_masks[s], k - 1)
                 assert onward | 1 << s == _reach(d.out_masks, 1 << s, k)
                 assert bool(onward >> s & 1) == (cycle <= k)
-
-    @settings(deadline=None, max_examples=80)
-    @given(digraphs())
-    def test_converse_twice_restores_the_digraph(self, d):
-        assert converse(converse(d)) == d
 
     @settings(deadline=None, max_examples=80)
     @given(digraphs(min_n=1))
@@ -354,13 +356,12 @@ class TestThreeKingStructure:
         )
 
 
-ELIGIBLE_OUTER = build_digraph(
-    6,
-    [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (2, 5),
-        (3, 4), (3, 5), (4, 0), (4, 1), (4, 5), (5, 0), (5, 1),
-    ],
-)
+@functools.cache
+def eligible_outers() -> tuple[Digraph, ...]:
+    """The establishment experiment's first six outers: three tournaments
+    from its exhaustive scan, three semicomplete digraphs from its seeded
+    search."""
+    return tuple(_establishable_outers(DEFAULT_SEED, 6)[0])
 
 
 class TestEstablishment:
@@ -381,15 +382,16 @@ class TestEstablishment:
         assert report.ok == (bool(strict3) and not blocking)
 
     @settings(deadline=None, max_examples=25)
-    @given(st.tuples(*[digraphs(min_n=1, max_n=2) for _ in range(6)]))
-    def test_established_three_kings_are_exactly_the_original_vertices(self, factors):
-        c = compose(ELIGIBLE_OUTER, factors)
-        assert can_establish(c.outer).ok
+    @given(st.data())
+    def test_established_three_kings_are_exactly_the_original_vertices(self, data):
+        outer = data.draw(st.sampled_from(eligible_outers()))
+        factors = data.draw(st.tuples(*[digraphs(min_n=1, max_n=2)] * outer.n))
+        c = compose(outer, factors)
         extended = establish(c)
-        original = flatten(c).n
         assert extended.t > c.t
         q2 = flatten(extended)
-        assert k_kings(q2, 3).kings == frozenset(range(original))
+        kings3 = {v for v in range(q2.n) if max(brute_distances(q2, v)) <= 3}
+        assert kings3 == set(range(c.total_vertices))
 
 
 class TestKernelConstructions:

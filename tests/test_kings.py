@@ -22,6 +22,7 @@ from kingkernel import (
     non_king_dominator_witness,
     out_eccentricities,
 )
+import kingkernel.kings as kings_module
 from kingkernel.experiments import path_like_tournament
 from bruteforce import brute_k_kings
 
@@ -258,6 +259,19 @@ class TestEstablish:
     def test_rejects_ineligible_input(self):
         c = compose(build_digraph(3, THREE_CYCLE), singletons(3))
         with pytest.raises(PreconditionError):
+            establish(c)
+
+    def test_postcondition_catches_a_broken_extension(self, monkeypatch):
+        # drop every arc u_j -> w_i into the added outer vertices: no original
+        # vertex reaches them, so the extension has no 3-king at all
+        c = compose(build_digraph(6, ESTABLISHABLE_SIX), singletons(6))
+        real = kings_module.build_digraph
+
+        def without_arcs_into_added(n, arcs):
+            return real(n, [(u, v) for u, v in arcs if not u < c.t <= v])
+
+        monkeypatch.setattr(kings_module, "build_digraph", without_arcs_into_added)
+        with pytest.raises(TheoremViolation, match="postcondition"):
             establish(c)
 
 
