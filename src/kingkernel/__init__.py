@@ -11,7 +11,6 @@ from .composition import (
     Composition,
     CompositionVertex,
     compose,
-    extension,
     flatten,
     require_semicomplete_composition,
     require_strong_semicomplete_composition,
@@ -101,7 +100,6 @@ __all__ = [
     "distances_from",
     "distances_to",
     "establish",
-    "extension",
     "flatten",
     "four_king_bound_report",
     "generate",

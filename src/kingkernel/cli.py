@@ -250,8 +250,8 @@ def _oracle_cap(max_n: int | None) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    d = _load_digraph_view(args.input)
-    cert = k_kernel_brute_force(d, args.k, max_n=_oracle_cap(args.max_n))
+    obj = _load_any(args.input)
+    cert = k_kernel_brute_force(obj, args.k, max_n=_oracle_cap(args.max_n))
     _emit(args, _kernel_payload(args.k, cert), _kernel_text(args.k, cert))
     return 0
 
@@ -265,7 +265,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.check:
         cap = _oracle_cap(args.max_n)
         direct = k_kernel_brute_force(obj, 3, max_n=cap)
-        lifted = k_kernel_brute_force(flatten(gadget), 3, max_n=cap)
+        lifted = k_kernel_brute_force(gadget, 3, max_n=cap)
         check = {
             "digraph_has_3kernel": direct is not None,
             "gadget_has_3kernel": lifted is not None,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .digraph import Digraph, DigraphClass, build_digraph, classify_digraph
+from .digraph import Digraph, DigraphClass, classify_digraph
 from .errors import PreconditionError
 
 
@@ -129,17 +129,10 @@ def require_strong_semicomplete_composition(c: Composition) -> DigraphClass:
     return cls
 
 
-def extension(outer: Digraph, sizes: tuple[int, ...] | list[int]) -> Composition:
-    """Composition whose factors are arcless digraphs of the given sizes."""
-    factors = tuple(build_digraph(s, []) for s in sizes)
-    return compose(outer, factors)
-
-
 __all__ = [
     "Composition",
     "CompositionVertex",
     "compose",
-    "extension",
     "flatten",
     "require_semicomplete_composition",
     "require_strong_semicomplete_composition",

@@ -529,8 +529,7 @@ def kkernel_reduction(
         res.instances += 1
         res.checks += 1
         direct = k_kernel_brute_force(d, 3) is not None
-        gadget = flatten(c3_gadget(d))
-        via_gadget = k_kernel_brute_force(gadget, 3) is not None
+        via_gadget = k_kernel_brute_force(c3_gadget(d), 3) is not None
         if direct:
             with_kernel += 1
         if direct != via_gadget:

@@ -66,82 +66,64 @@ def _parse_count(token: str, lineno: int, what: str) -> int:
     return value
 
 
-def parse_digraph(text: str) -> Digraph:
+def _read_header(text: str, form: str, what: str) -> tuple[list[tuple[int, str]], int]:
+    """The significant lines of text and the count its `form` header (such
+    as 'digraph <n>') declares."""
     lines = list(_significant_lines(text))
     if not lines:
-        raise FormatError("empty input, expected a 'digraph <n>' header")
+        raise FormatError(f"empty input, expected a '{form}' header")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "digraph":
-        raise FormatError(f"expected 'digraph <n>' header, got {header!r}", lineno)
-    n = _parse_count(parts[1], lineno, "vertex count")
+    if len(parts) != 2 or parts[0] != form.split()[0]:
+        raise FormatError(f"expected '{form}' header, got {header!r}", lineno)
+    return lines, _parse_count(parts[1], lineno, what)
+
+
+def parse_digraph(text: str) -> Digraph:
+    lines, n = _read_header(text, "digraph <n>", "vertex count")
     arcs = [_parse_arc(line, ln, n, "digraph") for ln, line in lines[1:]]
     return build_digraph(n, arcs)
 
 
 def parse_composition(text: str) -> Composition:
-    lines = list(_significant_lines(text))
-    if not lines:
-        raise FormatError("empty input, expected a 'composition <t>' header")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "composition":
-        raise FormatError(
-            f"expected 'composition <t>' header, got {header!r}", lineno
-        )
-    t = _parse_count(parts[1], lineno, "factor count")
+    lines, t = _read_header(text, "composition <t>", "factor count")
     if t < 2:
-        raise FormatError(f"composition needs t >= 2, got {t}", lineno)
+        raise FormatError(f"composition needs t >= 2, got {t}", lines[0][0])
     if len(lines) < 2 or lines[1][1] != "outer":
-        where = lines[1][0] if len(lines) > 1 else lineno
+        where = lines[1][0] if len(lines) > 1 else lines[0][0]
         raise FormatError("expected 'outer' block after the header", where)
-
-    outer_arcs: list[tuple[int, int]] = []
-    factors: list[Digraph] = []
-    factor_n: int | None = None
-    factor_arcs: list[tuple[int, int]] = []
-
-    def close_factor() -> None:
-        if factor_n is not None:
-            factors.append(build_digraph(factor_n, factor_arcs))
-
-    idx = 2
-    while idx < len(lines):
-        ln, line = lines[idx]
+    # one block (vertex count, name, arcs) for the outer digraph, then one per
+    # factor header; every other line is an arc of the last block
+    blocks: list[tuple[int, str, list[tuple[int, int]]]] = [
+        (t, "outer digraph", [])
+    ]
+    for ln, line in lines[2:]:
         if line.startswith("factor"):
             parts = line.split()
             if len(parts) != 3 or parts[0] != "factor":
-                raise FormatError(
-                    f"expected 'factor <i> <n_i>', got {line!r}", ln
-                )
-            close_factor()
+                raise FormatError(f"expected 'factor <i> <n_i>', got {line!r}", ln)
             i = _parse_count(parts[1], ln, "factor index")
-            if i != len(factors) + 1:
+            if i != len(blocks):
                 raise FormatError(
                     f"factor blocks must appear in order; expected factor "
-                    f"{len(factors) + 1}, got {i}",
+                    f"{len(blocks)}, got {i}",
                     ln,
                 )
             if i > t:
                 raise FormatError(f"factor index {i} exceeds t={t}", ln)
-            factor_n = _parse_count(parts[2], ln, "factor size")
-            if factor_n < 1:
+            size = _parse_count(parts[2], ln, "factor size")
+            if size < 1:
                 raise FormatError(f"factor {i} must be nonempty", ln)
-            factor_arcs = []
-        elif factor_n is None:
-            outer_arcs.append(_parse_arc(line, ln, t, "outer digraph"))
+            blocks.append((size, f"factor {i}", []))
         else:
-            factor_arcs.append(
-                _parse_arc(line, ln, factor_n, f"factor {len(factors) + 1}")
-            )
-        idx += 1
-    close_factor()
-    if len(factors) != t:
+            n, what, arcs = blocks[-1]
+            arcs.append(_parse_arc(line, ln, n, what))
+    if len(blocks) != t + 1:
         raise FormatError(
-            f"expected {t} factor blocks, found {len(factors)}",
-            lines[-1][0],
+            f"expected {t} factor blocks, found {len(blocks) - 1}", lines[-1][0]
         )
-    return compose(build_digraph(t, outer_arcs), tuple(factors))
+    outer, *factors = (build_digraph(n, arcs) for n, _, arcs in blocks)
+    return compose(outer, factors)
 
 
 def format_digraph(d: Digraph) -> str:

@@ -201,18 +201,22 @@ def composition_k_kernel(c: Composition, k: int) -> KernelCertificate | None:
 
 
 def k_kernel_brute_force(
-    d: Digraph, k: int, max_n: int = DEFAULT_ORACLE_CAP
+    d: Digraph | Composition, k: int, max_n: int = DEFAULT_ORACLE_CAP
 ) -> KernelCertificate | None:
     """Minimum-cardinality k-kernel by exhaustive search, or None when no
     k-kernel exists. Subsets are tried by increasing size and
     lexicographically within a size, so the returned certificate is
-    deterministic.
+    deterministic. A composition is searched on its flattened digraph.
 
-    Exponential: refuses digraphs with more than max_n vertices."""
+    Exponential: refuses inputs with more than max_n vertices. A composition
+    is sized by its vertex count before it is flattened."""
     if k < 2:
         raise PreconditionError(f"kernel order must be >= 2, got {k}")
-    if d.n > max_n:
-        raise PreconditionError(f"oracle cap exceeded: n={d.n} > cap={max_n}")
+    n = d.total_vertices if isinstance(d, Composition) else d.n
+    if n > max_n:
+        raise PreconditionError(f"oracle cap exceeded: n={n} > cap={max_n}")
+    if isinstance(d, Composition):
+        d = flatten(d)
     # Bitmask prefilters from reaches of radius k-1; the winner is re-checked
     # against the certificate definition.
     full = (1 << d.n) - 1

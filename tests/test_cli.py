@@ -279,6 +279,29 @@ class TestOracle:
         assert code == 0
         assert payload["certificate"]["vertices"] == [0]
 
+    def test_composition_is_sized_before_it_is_flattened(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # a directed 20-cycle of arcless 5,000-vertex factors: N = 100,000
+        # from 412 bytes, whose flattened digraph would not fit in memory
+        t = 20
+        outer = "".join(f"{i} {(i + 1) % t}\n" for i in range(t))
+        factors = "".join(f"factor {i} 5000\n" for i in range(1, t + 1))
+        path = tmp_path / "wide.cmp"
+        text = f"composition {t}\nouter\n{outer}{factors}"
+        path.write_text(text, encoding="utf-8")
+        assert path.stat().st_size == 412
+
+        def refuse(c):
+            raise RuntimeError("flattened before the cap check")
+
+        monkeypatch.setattr("kingkernel.cli.flatten", refuse)
+        monkeypatch.setattr("kingkernel.kernels.flatten", refuse)
+        code, out, err = run_cli(capsys, "oracle", str(path), "--k", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: oracle cap exceeded: n=100000 > cap=16\n"
+
     def test_argument_beats_env_var(self, capsys, three_cycle_file, monkeypatch):
         monkeypatch.setenv("KK_MAX_N", "20")
         code, _, err = run_cli(

@@ -10,7 +10,6 @@ from kingkernel import (
     build_digraph,
     classify_digraph,
     compose,
-    extension,
     flatten,
     require_semicomplete_composition,
     require_strong_semicomplete_composition,
@@ -48,7 +47,8 @@ class TestCompose:
         assert flatten(c) == three_cycle()
 
     def test_extension_bundles_only(self):
-        c = extension(build_digraph(2, [(0, 1)]), (2, 1))
+        arcless = (build_digraph(2, []), build_digraph(1, []))
+        c = compose(build_digraph(2, [(0, 1)]), arcless)
         assert sorted(flatten(c).arcs()) == [(0, 2), (1, 2)]
 
     def test_arc_count_follows_the_bundle_formula(self):

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import jsonschema
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kingkernel import (
     UNREACHABLE,
@@ -118,6 +118,25 @@ def semicomplete_compositions(
         draw(digraphs(min_n=min_size, max_n=max_size)) for _ in range(t)
     )
     return compose(outer, factors)
+
+
+@st.composite
+def long_factors(draw, min_n: int = 4, max_n: int = 8):
+    # a directed path, or a sparse digraph: finite eccentricities up to n-1,
+    # so a factor king's order can fall between k and k+1
+    n = draw(st.integers(min_n, max_n))
+    if draw(st.booleans()):
+        return build_digraph(n, [(v, v + 1) for v in range(n - 1)])
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n + 2))
+    return build_digraph(n, arcs)
+
+
+@st.composite
+def long_factor_compositions(draw, min_t: int = 2, max_t: int = 5):
+    t = draw(st.integers(min_t, max_t))
+    outer = draw(digraphs(min_n=t, max_n=t))
+    return compose(outer, tuple(draw(long_factors()) for _ in range(t)))
 
 
 @st.composite
@@ -243,7 +262,17 @@ class TestKingProjection:
                 assert c.locate(flat).factor in outer_kings
 
     @settings(deadline=None, max_examples=60)
-    @given(st.one_of(compositions(), path_like_compositions()))
+    @given(
+        st.one_of(compositions(), path_like_compositions(), long_factor_compositions())
+    )
+    # u_0 is an outer 2-king on no cycle, and its factor's vertex 0 has
+    # eccentricity 3: a 3-king of H_0 that is not a flat 2-king
+    @example(
+        compose(
+            build_digraph(2, [(0, 1)]),
+            (build_digraph(4, [(0, 1), (1, 2), (2, 3)]), build_digraph(1, [])),
+        )
+    )
     def test_factor_king_masks_match_the_flat_kings(self, c):
         q = flatten(c)
         for k in (2, 3, 4, 5, 6):
@@ -263,7 +292,7 @@ class TestKingProjection:
             assert k_kings(sub, k).kings <= k_kings(d, k).kings
 
     @settings(deadline=None, max_examples=50)
-    @given(compositions())
+    @given(st.one_of(compositions(), long_factor_compositions()))
     def test_king_existence_agrees_with_flat_search(self, c):
         q = flatten(c)
         for k in (2, 3, 4, 5, 6):
@@ -274,7 +303,7 @@ class TestKingProjection:
                 assert witness.reason is not None
 
     @settings(deadline=None, max_examples=50)
-    @given(compositions())
+    @given(st.one_of(compositions(), long_factor_compositions()))
     def test_universal_kingship_agrees_with_flat_search(self, c):
         q = flatten(c)
         for k in (2, 3, 4, 5, 6):
