@@ -529,6 +529,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: not enough memory for this input", file=sys.stderr)
+        return 1
     except TheoremViolation as exc:
         saved = _write_anomaly({"error": str(exc), "instance": _to_json(exc.instance)})
         print(f"anomaly: {exc} (instance {saved})", file=sys.stderr)

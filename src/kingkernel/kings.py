@@ -260,13 +260,18 @@ def establish(c: Composition) -> Composition:
 def four_king_bound_report(c: Composition) -> FourKingReport:
     """3- and 4-king counts of the flattened composition, summed over the
     factors' king masks (`_factor_kings`) without flattening, and whether the
-    guaranteed bounds hold: with at least six vertices there are at least
-    five 4-kings, and at least eight when there is no 3-king. Below six
-    vertices the bound is vacuous."""
+    guaranteed bound holds: with at least six vertices there are at least
+    five 4-kings; below six it is vacuous. "At least eight when there is no
+    3-king" is not tested, as it cannot be reached: a vertex u_i of maximum
+    out-degree in the semicomplete outer is a 2-king (Landau: a vertex it
+    does not reach in two steps would dominate u_i and all its
+    out-neighbours, a larger out-degree), and in a strong semicomplete outer
+    on t >= 2 vertices every vertex lies on a cycle of length at most 3, so
+    all of H_i is 3-kings."""
     require_strong_semicomplete_composition(c)
     n = c.total_vertices
     four, three = (
         sum(_factor_kings(c, i, k).bit_count() for i in range(c.t)) for k in (4, 3)
     )
-    ok = n < 6 or (four >= 5 and (three > 0 or four >= 8))
+    ok = n < 6 or four >= 5
     return FourKingReport(n=n, four_kings=four, three_kings=three, bound_satisfied=ok)

@@ -403,6 +403,56 @@ class TestUnwritableOutput:
         assert err.startswith(f"error: cannot write {out_path}: ")
 
 
+class TestOutOfMemory:
+    # small files whose flattened or parsed digraph would not fit in memory:
+    # N = 100,000 over a 20-cycle, N = 120,000 over a 3-cycle, and a header
+    # asking for 10^8 vertices; the patches raise where the allocation fails
+    FILES = {
+        "wide.cmp": "composition 20\nouter\n"
+        + "".join(f"{i} {(i + 1) % 20}\n" for i in range(20))
+        + "".join(f"factor {i} 5000\n" for i in range(1, 21)),
+        "tri.cmp": "composition 3\nouter\n0 1\n1 2\n2 0\n"
+        + "".join(f"factor {i} 40000\n" for i in range(1, 4)),
+        "huge.dg": "digraph 100000000\n",
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kings", "wide.cmp", "--k", "2"],
+            ["quasikernel", "wide.cmp"],
+            ["validate", "wide.cmp"],
+            ["disjoint-qk", "tri.cmp"],
+            ["kkernel", "tri.cmp", "--k", "4"],
+            ["classify", "huge.dg"],
+        ],
+        ids=["kings", "quasikernel", "validate", "disjoint-qk", "kkernel", "classify"],
+    )
+    def test_exits_one_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
+        sizes = {name: len(text) for name, text in self.FILES.items()}
+        assert sizes == {"wide.cmp": 412, "tri.cmp": 77, "huge.dg": 18}
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        real_build = build_digraph
+
+        def build(n, arcs):
+            if n > 10**6:
+                raise MemoryError
+            return real_build(n, arcs)
+
+        def refuse(c):
+            raise MemoryError
+
+        monkeypatch.setattr("kingkernel.fileformat.build_digraph", build)
+        monkeypatch.setattr("kingkernel.cli.flatten", refuse)
+        monkeypatch.setattr("kingkernel.kernels.flatten", refuse)
+        path = str(tmp_path / argv[1])
+        code, out, err = run_cli(capsys, argv[0], path, *argv[2:])
+        assert code == 1
+        assert out == ""
+        assert err == "error: not enough memory for this input\n"
+
+
 class TestGen:
     def test_repeat_runs_are_identical(self, capsys):
         first = run_cli(capsys, "gen", "--seed", "7", "--kind", "tournament", "--n", "6")
