@@ -35,6 +35,7 @@ from .kernels import (
     quasi_kernel,
 )
 from .kings import (
+    _composition_k_kings,
     can_establish,
     classified_flat_three_kings,
     classify_three_kings,
@@ -59,12 +60,6 @@ def _read_source(path: str) -> str:
 
 def _load_any(path: str) -> Digraph | Composition:
     return parse_any(_read_source(path))
-
-
-def _load_digraph_view(path: str) -> Digraph:
-    """Load either input type; compositions are flattened."""
-    obj = _load_any(path)
-    return flatten(obj) if isinstance(obj, Composition) else obj
 
 
 def _load_composition(path: str) -> Composition:
@@ -110,8 +105,8 @@ def _id_line(label: str, ids: Any) -> str:
 
 
 def _cmd_kings(args: argparse.Namespace) -> int:
-    d = _load_digraph_view(args.input)
-    report = k_kings(d, args.k)
+    obj = _load_any(args.input)
+    report = (_composition_k_kings if isinstance(obj, Composition) else k_kings)(obj, args.k)
     payload = {
         "k": report.k,
         "kings": sorted(report.kings),
@@ -197,8 +192,7 @@ def _cmd_establish(args: argparse.Namespace) -> int:
 
 
 def _cmd_quasikernel(args: argparse.Namespace) -> int:
-    d = _load_digraph_view(args.input)
-    cert = quasi_kernel(d)
+    cert = quasi_kernel(_load_any(args.input))
     _emit(args, _to_json(cert), _id_line("quasi-kernel", cert.vertices))
     return 0
 

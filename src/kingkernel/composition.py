@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import NamedTuple
 
-from .digraph import Digraph, DigraphClass, classify_digraph
+from .digraph import Digraph, DigraphClass, _reach, classify_digraph
 from .errors import PreconditionError
 
 
@@ -110,6 +111,25 @@ def flatten(c: Composition) -> Digraph:
         out.extend(mask << offs[i] | out_bundle[i] for mask in h.out_masks)
         inn.extend(mask << offs[i] | in_bundle[i] for mask in h.in_masks)
     return Digraph(n=c.total_vertices, out_masks=tuple(out), in_masks=tuple(inn))
+
+
+def _composition_reach(c: Composition, sources: int, depth: int, inward: bool = False) -> int:
+    """`_reach` on the flattened composition (along in-arcs when inward), over
+    flat-id masks, from T and the factors: a factor is whole when an outer
+    walk of 1..depth steps leads to it from a factor holding a source (for
+    that factor, an outer cycle); any other holds its sources' inner reach."""
+    parts = [(sources >> c.offsets[i]) & ((1 << h.n) - 1) for i, h in enumerate(c.factors)]
+    outer = c.outer.in_masks if inward else c.outer.out_masks
+    first = reduce(or_, (adjacent for part, adjacent in zip(parts, outer) if part), 0)
+    whole = _reach(outer, first, depth - 1) if depth else 0
+    reached = 0
+    for i, h in enumerate(c.factors):
+        if whole >> i & 1:
+            reached |= ((1 << h.n) - 1) << c.offsets[i]
+        elif parts[i]:
+            masks = h.in_masks if inward else h.out_masks
+            reached |= _reach(masks, parts[i], depth) << c.offsets[i]
+    return reached
 
 
 def require_semicomplete_composition(c: Composition) -> DigraphClass:

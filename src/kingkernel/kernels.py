@@ -8,7 +8,7 @@ Both are checked by one rule: a set is j-independent when no member's
 out-reach of radius j-1 holds another member, and a-absorbent when its
 in-reach of radius a is every vertex. (j, a) is (2, 2) for a quasi-kernel
 and (k, k-1) for a k-kernel. Every certificate the module returns has passed
-that check on the digraph it is claimed for.
+that check on the digraph or composition (never flattened) it is claimed for.
 
 Deciding k-kernel existence is polynomial for strong semicomplete
 compositions when k >= 4 (a singleton inside the right factor always works)
@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from itertools import combinations
 
 from .composition import (
     Composition,
+    _composition_reach,
     compose,
     flatten,
     require_semicomplete_composition,
@@ -53,15 +55,19 @@ class KernelCertificate:
     validated: bool
 
 
-def validate_certificate(d: Digraph, cert: KernelCertificate) -> bool:
+def validate_certificate(d: Digraph | Composition, cert: KernelCertificate) -> bool:
     """Exact check of the defining conditions: the set is j-independent and
     a-absorbent, with (j, a) = (2, 2) for a quasi-kernel and (k, k-1) for a
-    k-kernel."""
+    k-kernel. On a composition every reach is `_composition_reach`."""
+    if isinstance(d, Composition):
+        n = d.total_vertices
+        out = partial(_composition_reach, d)
+        inn = partial(_composition_reach, d, inward=True)
+    else:
+        n, out, inn = d.n, partial(_reach, d.out_masks), partial(_reach, d.in_masks)
     for v in cert.vertices:
-        if not 0 <= v < d.n:
-            raise PreconditionError(
-                f"certificate vertex {v} out of range for n={d.n}"
-            )
+        if not 0 <= v < n:
+            raise PreconditionError(f"certificate vertex {v} out of range for n={n}")
     if cert.kind is CertificateKind.QUASI_KERNEL:
         j, a = 2, 2
     else:
@@ -69,37 +75,51 @@ def validate_certificate(d: Digraph, cert: KernelCertificate) -> bool:
             raise PreconditionError("K_KERNEL certificate requires k >= 2")
         j, a = cert.k, cert.k - 1
     mask = sum(1 << v for v in cert.vertices)
-    independent = not any(
-        _reach(d.out_masks, 1 << v, j - 1) & mask & ~(1 << v) for v in cert.vertices
-    )
-    return independent and _reach(d.in_masks, mask, a) == (1 << d.n) - 1
+    independent = not any(out(1 << v, j - 1) & mask & ~(1 << v) for v in cert.vertices)
+    return independent and inn(mask, a) == (1 << n) - 1
 
 
 def _certified(
-    d: Digraph,
+    d: Digraph | Composition,
     kind: CertificateKind,
     vertices: frozenset[int],
     k: int | None,
     failure: str,
-    instance: Digraph | Composition,
 ) -> KernelCertificate:
     """The certificate claiming `vertices` for d, marked validated once
     validate_certificate confirms it. A failed check means a construction
-    the theory guarantees went wrong: TheoremViolation(failure, instance)."""
+    the theory guarantees went wrong: TheoremViolation(failure, d)."""
     cert = KernelCertificate(kind=kind, vertices=vertices, k=k, validated=False)
     if not validate_certificate(d, cert):
-        raise TheoremViolation(failure, instance=instance)
+        raise TheoremViolation(failure, instance=d)
     return replace(cert, validated=True)
 
 
-def quasi_kernel(d: Digraph) -> KernelCertificate:
+def _lift(c: Composition, members: frozenset[int]) -> KernelCertificate:
+    """quasi_kernel(H_i) of every factor i in members, certified on c."""
+    return _certified(
+        c,
+        CertificateKind.QUASI_KERNEL,
+        frozenset(c.offsets[i] + x for i in members for x in quasi_kernel(c.factors[i]).vertices),
+        None,
+        f"quasi-kernel lifted from factors {sorted(members)} failed validation",
+    )
+
+
+def quasi_kernel(d: Digraph | Composition) -> KernelCertificate:
     """A quasi-kernel, which every digraph has.
 
     Construction: repeatedly take the smallest remaining vertex as pivot and
     discard its closed in-neighborhood; then, unwinding in reverse, keep each
     pivot exactly when none of its out-neighbors was kept later. The result
     is re-validated before being returned.
+
+    On a composition it lifts quasi_kernel(T) (`_lift`) and gets the same
+    set: the vertices of H_i share their neighbours outside H_i, so the flat
+    greedy runs H_i's own greedy and keeps it exactly when T keeps u_i.
     """
+    if isinstance(d, Composition):
+        return _lift(d, quasi_kernel(d.outer).vertices)
     alive = (1 << d.n) - 1
     pivots: list[int] = []
     while alive:
@@ -116,7 +136,6 @@ def quasi_kernel(d: Digraph) -> KernelCertificate:
         frozenset(v for v in reversed(pivots) if chosen >> v & 1),
         None,
         "constructed quasi-kernel failed validation",
-        d,
     )
 
 
@@ -147,28 +166,12 @@ def disjoint_quasi_kernels(
     """A pair of disjoint quasi-kernels of a semicomplete composition whose
     outer digraph has no sink: quasi-kernels of two distinct factors whose
     outer vertices absorb the outer digraph within two steps, lifted to flat
-    ids. Both certificates are validated against the flattened digraph."""
+    ids as quasi_kernel lifts T's. Both certificates are validated on c."""
     sinks = require_semicomplete_composition(c).sinks
     if sinks:
         raise PreconditionError(f"outer digraph has sink(s) {sorted(sinks)}")
-    witnesses = sorted(singleton_quasi_kernels(c.outer))
-    first, second = witnesses[0], witnesses[1]
-    q = flatten(c)
-    certs: list[KernelCertificate] = []
-    for i in (first, second):
-        inner = quasi_kernel(c.factors[i])
-        certs.append(
-            _certified(
-                q,
-                CertificateKind.QUASI_KERNEL,
-                frozenset(c.flat_id(i, v) for v in inner.vertices),
-                None,
-                f"lifted quasi-kernel of factor {i} failed validation on the "
-                "flattened composition",
-                c,
-            )
-        )
-    return certs[0], certs[1]
+    first, second = sorted(singleton_quasi_kernels(c.outer))[:2]
+    return _lift(c, frozenset({first})), _lift(c, frozenset({second}))
 
 
 def composition_k_kernel(c: Composition, k: int) -> KernelCertificate | None:
@@ -190,12 +193,11 @@ def composition_k_kernel(c: Composition, k: int) -> KernelCertificate | None:
     for i in range(c.t):
         if _reach(c.outer.in_masks, 1 << i, k - 1) == full:
             return _certified(
-                flatten(c),
+                c,
                 CertificateKind.K_KERNEL,
                 frozenset({c.flat_id(i, 0)}),
                 k,
                 f"singleton k-kernel in factor {i} failed validation",
-                c,
             )
     return None
 
@@ -251,7 +253,6 @@ def k_kernel_brute_force(
                 frozenset(combo),
                 k,
                 f"oracle {k}-kernel {sorted(combo)} failed validation",
-                d,
             )
     return None
 

@@ -4,12 +4,12 @@ A k-king reaches every other vertex by a directed path of length at most k;
 it is strict when some vertex sits at distance exactly k. A king is a 2-king;
 a non-king is a vertex that is not even a 3-king.
 
-For compositions every per-factor king question reads one rule, the
-lexicographic-product distance rule, written once in `_factor_kings`: x in
-H_i is a k-king of the flattened composition when u_i is an outer k-king and
-x reaches the rest of H_i within k, inside H_i or round an outer cycle
-through u_i of length at most k. `establish` checks its postcondition by the
-same rule, so nothing here flattens.
+For compositions every king question reads one rule, the
+lexicographic-product distance rule: x in H_i is a k-king of the flattened
+composition when u_i is an outer k-king and x reaches the rest of H_i within
+k, inside H_i or round an outer cycle through u_i of length at most k.
+`_factor_kings` reads it as masks (`establish` checks its postcondition so)
+and `_composition_k_kings` as eccentricities, so nothing here flattens.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .digraph import (
     _reach,
     build_digraph,
     classify_digraph,
+    min_cycle_length_through,
     out_eccentricities,
 )
 from .errors import PreconditionError, TheoremViolation
@@ -94,12 +95,26 @@ class FourKingReport:
 def k_kings(d: Digraph, k: int) -> KingReport:
     """All k-kings of d, k >= 2. A vertex with unreachable eccentricity is
     never a king; strictness compares finite eccentricities only."""
+    return _king_report(out_eccentricities(d), k)
+
+
+def _king_report(eccs: list[Dist], k: int) -> KingReport:
     if k < 2:
         raise PreconditionError(f"king order must be >= 2, got {k}")
-    eccs = out_eccentricities(d)
-    kings = frozenset(v for v in range(d.n) if eccs[v] <= k)
+    kings = frozenset(v for v, e in enumerate(eccs) if e <= k)
     strict = frozenset(v for v in kings if eccs[v] == k)
     return KingReport(k=k, kings=kings, strict=strict, ecc_out=tuple(eccs))
+
+
+def _composition_k_kings(c: Composition, k: int) -> KingReport:
+    """k_kings of the flattened composition: x in H_i has eccentricity
+    max(ecc_T(u_i), min(ecc_Hi(x), c_T(u_i))), c_T(u_i) the shortest outer cycle."""
+    outer = out_eccentricities(c.outer)
+    eccs: list[Dist] = []
+    for i, h in enumerate(c.factors):
+        cycle = min_cycle_length_through(c.outer, i)
+        eccs.extend(max(outer[i], min(e, cycle)) for e in out_eccentricities(h))
+    return _king_report(eccs, k)
 
 
 def _factor_kings(c: Composition, i: int, k: int) -> int:

@@ -77,12 +77,13 @@ def brute_min_cycle_through(d: Digraph, v: int) -> float:
     return best
 
 
+def brute_eccentricities(d: Digraph) -> list[float]:
+    """Out-eccentricity of every vertex, one Bellman-Ford table per source."""
+    return [max(brute_distances(d, u)) for u in range(d.n)]
+
+
 def brute_k_kings(d: Digraph, k: int) -> set[int]:
-    return {
-        u
-        for u in range(d.n)
-        if all(brute_distances(d, u)[v] <= k for v in range(d.n))
-    }
+    return {u for u, ecc in enumerate(brute_eccentricities(d)) if ecc <= k}
 
 
 def brute_flat_arcs(c: Composition) -> set[tuple[int, int]]:

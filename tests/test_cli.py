@@ -406,7 +406,7 @@ class TestUnwritableOutput:
 class TestOutOfMemory:
     # small files whose flattened or parsed digraph would not fit in memory:
     # N = 100,000 over a 20-cycle, N = 120,000 over a 3-cycle, and a header
-    # asking for 10^8 vertices; the patches raise where the allocation fails
+    # asking for 10^8 vertices
     FILES = {
         "wide.cmp": "composition 20\nouter\n"
         + "".join(f"{i} {(i + 1) % 20}\n" for i in range(20))
@@ -416,23 +416,21 @@ class TestOutOfMemory:
         "huge.dg": "digraph 100000000\n",
     }
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["kings", "wide.cmp", "--k", "2"],
-            ["quasikernel", "wide.cmp"],
-            ["validate", "wide.cmp"],
-            ["disjoint-qk", "tri.cmp"],
-            ["kkernel", "tri.cmp", "--k", "4"],
-            ["classify", "huge.dg"],
-        ],
-        ids=["kings", "quasikernel", "validate", "disjoint-qk", "kkernel", "classify"],
-    )
-    def test_exits_one_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
+    @pytest.fixture
+    def files(self, tmp_path):
         sizes = {name: len(text) for name, text in self.FILES.items()}
         assert sizes == {"wide.cmp": 412, "tri.cmp": 77, "huge.dg": 18}
         for name, text in self.FILES.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate", "wide.cmp"], ["classify", "huge.dg"]],
+        ids=["validate", "classify"],
+    )
+    def test_exits_one_with_one_line(self, capsys, files, monkeypatch, argv):
+        # the patches raise where the allocation fails
         real_build = build_digraph
 
         def build(n, arcs):
@@ -445,12 +443,40 @@ class TestOutOfMemory:
 
         monkeypatch.setattr("kingkernel.fileformat.build_digraph", build)
         monkeypatch.setattr("kingkernel.cli.flatten", refuse)
-        monkeypatch.setattr("kingkernel.kernels.flatten", refuse)
-        path = str(tmp_path / argv[1])
-        code, out, err = run_cli(capsys, argv[0], path, *argv[2:])
+        code, out, err = run_cli(capsys, argv[0], str(files / argv[1]), *argv[2:])
         assert code == 1
         assert out == ""
         assert err == "error: not enough memory for this input\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kings", "wide.cmp", "--k", "2"],
+            ["quasikernel", "wide.cmp"],
+            ["disjoint-qk", "tri.cmp"],
+            ["kkernel", "tri.cmp", "--k", "4"],
+        ],
+        ids=["kings", "quasikernel", "disjoint-qk", "kkernel"],
+    )
+    def test_answers_without_flattening(self, capsys, files, monkeypatch, argv):
+        def refuse(c):
+            raise RuntimeError("flattened")
+
+        for module in ("cli", "kernels", "composition"):
+            monkeypatch.setattr(f"kingkernel.{module}.flatten", refuse)
+        code, payload = run_json(capsys, argv[0], str(files / argv[1]), *argv[2:])
+        assert code == 0
+        if argv[0] == "kings":
+            # no vertex reaches the rest of its factor in fewer than 20 steps
+            assert payload == {"k": 2, "kings": [], "strict": [], "ecc": [20] * 100_000}
+        elif argv[0] == "quasikernel":
+            # the even factors of the 20-cycle, 5,000 vertices each
+            assert payload["vertices"] == [v for v in range(100_000) if v // 5000 % 2 == 0]
+        elif argv[0] == "disjoint-qk":
+            assert payload["first"]["vertices"] == list(range(40_000))
+            assert payload["second"]["vertices"] == list(range(40_000, 80_000))
+        else:
+            assert payload["certificate"]["vertices"] == [0]
 
 
 class TestGen:

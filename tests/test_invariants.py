@@ -18,6 +18,7 @@ from kingkernel import (
     KernelCertificate,
     Kind,
     PreconditionError,
+    TheoremViolation,
     build_digraph,
     c3_gadget,
     can_establish,
@@ -45,6 +46,7 @@ from kingkernel import (
     schemas,
     validate_certificate,
 )
+from kingkernel.composition import _composition_reach
 from kingkernel.digraph import _reach
 from kingkernel.experiments import (
     DEFAULT_SEED,
@@ -65,10 +67,11 @@ from kingkernel.fileformat import (
     parse_digraph,
 )
 from kingkernel.gen import all_tournaments
-from kingkernel.kings import _factor_kings
+from kingkernel.kings import _composition_k_kings, _factor_kings
 from bruteforce import (
     brute_components,
     brute_distances,
+    brute_eccentricities,
     brute_flat_arcs,
     brute_is_k_kernel,
     brute_is_quasi_kernel,
@@ -275,9 +278,9 @@ class TestKingProjection:
         )
     )
     def test_factor_king_masks_match_the_flat_kings(self, c):
-        q = flatten(c)
+        eccs = brute_eccentricities(flatten(c))
         for k in (2, 3, 4, 5, 6):
-            flat_kings = brute_k_kings(q, k)
+            flat_kings = {v for v, ecc in enumerate(eccs) if ecc <= k}
             for i, off in enumerate(c.offsets):
                 block = {x for x in range(c.factors[i].n) if off + x in flat_kings}
                 assert _factor_kings(c, i, k) == sum(1 << x for x in block)
@@ -565,6 +568,70 @@ class TestCertificateCheck:
                     kind, expected = CertificateKind.K_KERNEL, brute_is_k_kernel(d, vertices, k)
                 cert = KernelCertificate(kind, frozenset(vertices), k, validated=False)
                 assert validate_certificate(d, cert) == expected
+
+
+class TestCompositionRoute:
+    # the answers read from T and the factors against the same questions
+    # asked of the flattened digraph
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(compositions(), long_factor_compositions()), st.data())
+    def test_composition_reach_matches_the_flat_reach(self, c, data):
+        q = flatten(c)
+        sources = sum(1 << v for v in data.draw(st.sets(st.sampled_from(range(q.n)))))
+        for depth in range(5):
+            assert _composition_reach(c, sources, depth) == _reach(q.out_masks, sources, depth)
+            assert _composition_reach(c, sources, depth, inward=True) == _reach(
+                q.in_masks, sources, depth
+            )
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(compositions(), long_factor_compositions()), st.data())
+    def test_certificate_check_matches_the_flat_check(self, c, data):
+        # arbitrary claims, every singleton and the flat greedy quasi-kernel,
+        # so both verdicts occur
+        q = flatten(c)
+        everyone = range(q.n)
+        claims = [set(), set(everyone), set(quasi_kernel(q).vertices)]
+        claims += [{v} for v in everyone]
+        claims += [data.draw(st.sets(st.sampled_from(everyone))) for _ in range(3)]
+        for vertices in claims:
+            for k in (None, 2, 3, 4, 5):
+                kind = CertificateKind.QUASI_KERNEL if k is None else CertificateKind.K_KERNEL
+                cert = KernelCertificate(kind, frozenset(vertices), k, validated=False)
+                assert validate_certificate(c, cert) == validate_certificate(q, cert)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(compositions(), long_factor_compositions()))
+    def test_quasi_kernel_is_the_flat_greedy_set(self, c):
+        cert = quasi_kernel(c)
+        assert cert.validated
+        assert cert.vertices == quasi_kernel(flatten(c)).vertices
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(compositions(), long_factor_compositions()))
+    def test_king_report_matches_the_flat_report(self, c):
+        q = flatten(c)
+        for k in (2, 3, 4, 5, 6):
+            assert _composition_k_kings(c, k) == k_kings(q, k)
+
+    def test_certificate_vertex_out_of_range(self):
+        c = compose(build_digraph(2, [(0, 1)]), (build_digraph(2, []), build_digraph(1, [])))
+        cert = KernelCertificate(CertificateKind.QUASI_KERNEL, frozenset({3}), None, False)
+        with pytest.raises(PreconditionError, match="out of range for n=3"):
+            validate_certificate(c, cert)
+
+    def test_lifted_pair_is_checked_on_the_composition(self, monkeypatch):
+        # u_3 dominates the 3-cycle on u_0, u_1, u_2 and absorbs nothing, so a
+        # lifted quasi-kernel of H_3 must fail the check
+        outer = build_digraph(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)])
+        c = compose(outer, tuple(build_digraph(2, [(0, 1)]) for _ in range(4)))
+        monkeypatch.setattr(
+            "kingkernel.kernels.singleton_quasi_kernels", lambda d: frozenset({0, 3})
+        )
+        with pytest.raises(TheoremViolation, match=r"factors \[3\]") as caught:
+            disjoint_quasi_kernels(c)
+        assert caught.value.instance is c
 
 
 class TestRoundTrips:
