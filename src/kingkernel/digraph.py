@@ -11,10 +11,11 @@ where bit v of out_masks[u], and bit u of in_masks[v], is set iff u -> v.
 
 Every distance question runs on one bitset BFS core. `_levels` expands a
 frontier mask one level at a time by OR-ing the masks of its vertices, and
-stops once every vertex has been reached, so no walk expands a level that
-can add nothing. Callers stop earlier when they have their answer: the
-shortest cycle stops where the start vertex reappears, and a reach at its
-depth bound.
+stops at the first frontier vertex after which every vertex has been
+reached, so no walk reads a mask that can add nothing, inside a level or
+after it. Callers stop earlier when they have their answer: the shortest
+cycle through v stops at the first level that meets v's in-neighbours, and
+a reach at its depth bound.
 
 Every "within j steps" question goes through one depth-bounded primitive,
 `_reach(masks, sources, depth)`: the mask of vertices within `depth` steps
@@ -110,21 +111,21 @@ def _levels(masks: tuple[int, ...], frontier: int) -> Iterator[int]:
     """BFS along masks (a digraph's out_masks or in_masks) from the vertex
     mask `frontier`: the j-th yielded mask (from 0) holds the vertices first
     reached after j steps. A level is expanded only when the caller asks for
-    the next one, so stopping early costs nothing; the walk ends once every
-    vertex has been reached."""
+    the next one, so stopping early costs nothing. Expanding a level stops at
+    the first of its vertices after which every vertex has been reached: the
+    rest of the level can add nothing, and the unreached vertices are exactly
+    the next level, the last one."""
     full = (1 << len(masks)) - 1
     seen = frontier
     while frontier:
         yield frontier
-        if seen == full:
-            return
-        reach = 0
-        while frontier:
+        reach = seen
+        while frontier and reach != full:
             low = frontier & -frontier
             reach |= masks[low.bit_length() - 1]
             frontier ^= low
-        frontier = reach & ~seen
-        seen |= frontier
+        frontier = reach ^ seen
+        seen = reach
 
 
 def _bfs(masks: tuple[int, ...], source: int) -> list[Dist]:
@@ -142,11 +143,7 @@ def _bfs(masks: tuple[int, ...], source: int) -> list[Dist]:
 def _reach(masks: tuple[int, ...], sources: int, depth: int) -> int:
     """The mask of vertices within `depth` >= 0 steps of the vertex mask
     `sources` along masks, sources included. It stops after `depth` levels
-    (and, like every walk, once every vertex has been reached).
-
-    Seeded with a vertex s's out-neighbours and depth k-1, bit s of the
-    result says whether s lies on a cycle of length at most k, and the
-    result with s added is s's out-reach of radius k."""
+    (and, like every walk, once every vertex has been reached)."""
     reached = 0
     for level, frontier in enumerate(_levels(masks, sources)):
         reached |= frontier
@@ -210,14 +207,14 @@ def classify_digraph(d: Digraph) -> DigraphClass:
 def min_cycle_length_through(d: Digraph, v: int) -> Dist:
     """Length of a shortest directed cycle through v.
 
-    One BFS from v's out-neighbours: a shortest cycle is an arc v -> w
-    extended by a shortest w -> v path, so its length is the first level at
-    which v is reached again.
+    One BFS from v: a shortest cycle is a shortest path from v to an
+    in-neighbour w of v closed by the arc w -> v, so its length is one more
+    than the first level that meets v's in-neighbours.
     """
-    bit = 1 << _check_vertex(d.n, v)
-    for length, frontier in enumerate(_levels(d.out_masks, d.out_masks[v]), 1):
-        if frontier & bit:
-            return length
+    into = d.in_masks[_check_vertex(d.n, v)]
+    for level, frontier in enumerate(_levels(d.out_masks, 1 << v)):
+        if frontier & into:
+            return level + 1
     return UNREACHABLE
 
 

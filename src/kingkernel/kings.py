@@ -8,14 +8,16 @@ For compositions every king question reads one rule, the
 lexicographic-product distance rule: x in H_i is a k-king of the flattened
 composition when u_i is an outer k-king and x reaches the rest of H_i within
 k, inside H_i or round an outer cycle through u_i of length at most k.
-`_factor_kings` reads it as masks (`establish` checks its postcondition so)
-and `_composition_k_kings` as eccentricities, so nothing here flattens.
+`_factor_kings` reads it as masks from one outer walk that starts at u_i
+(`establish` checks its postcondition so), and `_composition_k_kings` as
+eccentricities, so nothing here flattens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .composition import (
     Composition,
@@ -26,6 +28,7 @@ from .digraph import (
     Digraph,
     Dist,
     _check_vertex,
+    _levels,
     _reach,
     build_digraph,
     classify_digraph,
@@ -121,15 +124,16 @@ def _factor_kings(c: Composition, i: int, k: int) -> int:
     """The k-kings of the flattened composition that lie in factor i, as a
     mask over H_i: none when u_i is not an outer k-king, all of H_i when u_i
     also lies on an outer cycle of length at most k, and otherwise the
-    k-kings of H_i. Both outer questions read one `_reach`. Refuses k < 2."""
+    k-kings of H_i. Both outer questions read one walk from u_i to level k:
+    u_i is a k-king when levels 0..k hold every vertex, and lies on such a
+    cycle when levels 0..k-1 meet its in-neighbours. Refuses k < 2."""
     if k < 2:
         raise PreconditionError(f"king order must be >= 2, got {k}")
-    out = c.outer.out_masks
-    reach = _reach(out, out[i], k - 1)
-    if reach | 1 << i != (1 << c.t) - 1:
+    levels = list(islice(_levels(c.outer.out_masks, 1 << i), k + 1))
+    if sum(levels) != (1 << c.t) - 1:
         return 0
     h = c.factors[i]
-    if reach >> i & 1:
+    if sum(levels[:k]) & c.outer.in_masks[i]:
         return (1 << h.n) - 1
     return sum(1 << x for x in k_kings(h, k).kings)
 

@@ -4,6 +4,7 @@ Everything here recomputes answers by a different route than the library:
 relaxation instead of BFS, closure matrices instead of mask searches, path
 enumeration instead of distance arithmetic, and the definitional double loop
 instead of offset bookkeeping. Slow on purpose; used only on small inputs.
+`CountingMasks` is the one probe: it counts the mask reads of a walk.
 """
 
 from __future__ import annotations
@@ -11,6 +12,16 @@ from __future__ import annotations
 from kingkernel import Composition, Digraph, build_digraph
 
 INF = float("inf")
+
+
+class CountingMasks(tuple):
+    """A mask tuple that counts how often a walk reads one of its masks."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
 
 
 def brute_distances(d: Digraph, s: int) -> list[float]:

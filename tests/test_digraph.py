@@ -21,7 +21,7 @@ from kingkernel import (
 from kingkernel.digraph import _levels
 from kingkernel.gen import random_digraph
 
-from bruteforce import brute_distances, reverse_arcs
+from bruteforce import CountingMasks, brute_distances, reverse_arcs
 
 
 def path(n: int) -> Digraph:
@@ -151,16 +151,6 @@ class TestEccentricities:
         assert out_eccentricities(build_digraph(1, [])) == [0]
 
 
-class CountingMasks(tuple):
-    """A mask tuple that counts how often a walk reads one of its masks."""
-
-    reads = 0
-
-    def __getitem__(self, index):
-        self.reads += 1
-        return super().__getitem__(index)
-
-
 class TestLevels:
     def test_walk_stops_once_every_vertex_is_reached(self):
         n = 6
@@ -169,6 +159,14 @@ class TestLevels:
         assert list(_levels(masks, 1)) == [1, (1 << n) - 2]
         # vertex 0's mask reaches everyone; the second level is never expanded
         assert masks.reads == 1
+
+    def test_walk_stops_inside_a_level_once_every_vertex_is_reached(self):
+        # level 1 is {1, 2, 3}; vertex 1 alone reaches the rest, so the masks
+        # of 2 and 3 are never read, though they point into level 2 as well
+        d = build_digraph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5)])
+        masks = CountingMasks(d.out_masks)
+        assert list(_levels(masks, 1)) == [0b1, 0b1110, 0b110000]
+        assert masks.reads == 2
 
 
 class TestStrongDecomposition:

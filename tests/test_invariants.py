@@ -47,7 +47,7 @@ from kingkernel import (
     validate_certificate,
 )
 from kingkernel.composition import _composition_reach
-from kingkernel.digraph import _reach
+from kingkernel.digraph import _levels, _reach
 from kingkernel.experiments import (
     DEFAULT_SEED,
     MAX_KEPT_FAILURES,
@@ -101,6 +101,14 @@ def semicompletes(draw, min_n: int = 1, max_n: int = 6):
             if pick != "fwd":
                 arcs.append((v, u))
     return build_digraph(n, arcs)
+
+
+@st.composite
+def tournaments(draw, min_n: int = 1, max_n: int = 7):
+    n = draw(st.integers(min_n, max_n))
+    return build_digraph(
+        n, [(u, v) if draw(st.booleans()) else (v, u) for u in range(n) for v in range(u + 1, n)]
+    )
 
 
 @st.composite
@@ -200,15 +208,26 @@ class TestDistances:
         for depth in range(5):
             assert _reach(d.out_masks, mask, depth) == near(out_dist, depth)
             assert _reach(d.in_masks, mask, depth) == near(in_dist, depth)
-        # the king decisions walk once from s's out-neighbours: with s added
-        # that is s's out-reach of radius k, and it holds s iff s lies on a
-        # cycle of length at most k
+        # a walk from s's out-neighbours is, with s added, s's out-reach of
+        # radius k, and it holds s iff s lies on a cycle of length at most k
         for s in range(d.n):
             cycle = brute_min_cycle_through(d, s)
             for k in range(1, 6):
                 onward = _reach(d.out_masks, d.out_masks[s], k - 1)
                 assert onward | 1 << s == _reach(d.out_masks, 1 << s, k)
                 assert bool(onward >> s & 1) == (cycle <= k)
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.one_of(digraphs(min_n=1), semicompletes()), st.data())
+    def test_levels_are_the_distance_classes_of_the_sources(self, d, data):
+        sources = data.draw(st.sets(st.integers(0, d.n - 1), min_size=1))
+        for masks, g in ((d.out_masks, d), (d.in_masks, reverse_arcs(d))):
+            dist = [min(col) for col in zip(*(brute_distances(g, s) for s in sources))]
+            classes = [
+                sum(1 << v for v in range(d.n) if dist[v] == j)
+                for j in range(max(x for x in dist if x != math.inf) + 1)
+            ]
+            assert list(_levels(masks, sum(1 << s for s in sources))) == classes
 
     @settings(deadline=None, max_examples=80)
     @given(digraphs(min_n=1))
@@ -227,6 +246,14 @@ class TestStrongStructure:
     @settings(deadline=None, max_examples=40)
     @given(digraphs(min_n=1, max_n=7))
     def test_shortest_cycle_matches_simple_cycle_enumeration(self, d):
+        for v in range(d.n):
+            assert min_cycle_length_through(d, v) == brute_min_cycle_through(d, v)
+
+    @settings(deadline=None, max_examples=60)
+    @given(tournaments())
+    def test_shortest_cycle_in_a_tournament_matches_enumeration(self, d):
+        # no 2-cycles: the walk from v meets an in-neighbour of v at level 2
+        # at the earliest, so every cycle found has length 3 or more
         for v in range(d.n):
             assert min_cycle_length_through(d, v) == brute_min_cycle_through(d, v)
 

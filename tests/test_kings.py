@@ -3,7 +3,11 @@ from __future__ import annotations
 import pytest
 
 from kingkernel import (
+    Constraint,
+    Digraph,
     FactorKingFlag,
+    GenSpec,
+    Kind,
     KingWitnessReason,
     PreconditionError,
     TheoremViolation,
@@ -18,13 +22,14 @@ from kingkernel import (
     establish,
     flatten,
     four_king_bound_report,
+    generate,
     k_kings,
     non_king_dominator_witness,
     out_eccentricities,
 )
 import kingkernel.kings as kings_module
 from kingkernel.experiments import path_like_tournament
-from bruteforce import brute_k_kings
+from bruteforce import CountingMasks, brute_k_kings
 
 THREE_CYCLE = [(0, 1), (1, 2), (2, 0)]
 TRANSITIVE = [(0, 1), (0, 2), (1, 2)]
@@ -308,3 +313,25 @@ class TestFourKingBound:
         c = compose(build_digraph(3, TRANSITIVE), singletons(3))
         with pytest.raises(PreconditionError):
             four_king_bound_report(c)
+
+
+class TestOuterWalkWork:
+    """Mask reads, not time: a walk from u_i stops inside a level once it has
+    reached every outer vertex. A walk that expands whole levels reads about
+    t masks per outer vertex, 40,000 on this outer for the first call."""
+
+    @pytest.mark.parametrize(
+        "decide",
+        [lambda c: composition_all_k_kings(c, 3), classify_three_kings],
+        ids=["composition_all_k_kings", "classify_three_kings"],
+    )
+    def test_outer_reads_on_a_large_strong_tournament(self, decide):
+        spec = GenSpec(
+            seed=1, kind=Kind.TOURNAMENT, t=200, size_min=1, size_max=3,
+            constraints=frozenset({Constraint.STRONG_OUTER}),
+        )
+        c = generate(spec)
+        out, into = CountingMasks(c.outer.out_masks), CountingMasks(c.outer.in_masks)
+        counted = compose(Digraph(c.t, out, into), c.factors)
+        decide(counted)
+        assert out.reads + into.reads <= 5000
