@@ -169,8 +169,7 @@ def classify_three_kings(c: Composition) -> ThreeKingClassification:
     composition. Refuses non-strong input: the all-or-nothing split is only
     guaranteed in the strong case."""
     require_strong_semicomplete_composition(c)
-    # a set question about the outer: one eccentricity pass, where _factor_kings
-    # would walk each u_i to level 3 (in a tournament u_i reappears only there)
+    # a set question about the outer, answered by one eccentricity pass
     outer3 = k_kings(c.outer, 3).kings
     flags = tuple(
         FactorKingFlag.ALL_3KINGS if i in outer3 else FactorKingFlag.NO_3KINGS
