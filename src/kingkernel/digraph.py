@@ -186,12 +186,17 @@ def is_strong(d: Digraph) -> bool:
     return sum(_levels(d.out_masks, 1)) == full and sum(_levels(d.in_masks, 1)) == full
 
 
-def classify_digraph(d: Digraph) -> DigraphClass:
-    # semicomplete: every other vertex is an out- or in-neighbour of u;
-    # tournament: additionally never both
+def _is_semicomplete(d: Digraph) -> bool:
+    """Every other vertex is an out- or in-neighbour of each vertex."""
     full = (1 << d.n) - 1
     outs, ins = d.out_masks, d.in_masks
-    semicomplete = all(outs[u] | ins[u] | 1 << u == full for u in range(d.n))
+    return all(outs[u] | ins[u] | 1 << u == full for u in range(d.n))
+
+
+def classify_digraph(d: Digraph) -> DigraphClass:
+    # a tournament is semicomplete with no pair joined both ways
+    outs, ins = d.out_masks, d.in_masks
+    semicomplete = _is_semicomplete(d)
     tournament = semicomplete and not any(outs[u] & ins[u] for u in range(d.n))
     sources = frozenset(v for v in range(d.n) if not ins[v])
     sinks = frozenset(v for v in range(d.n) if not outs[v])

@@ -290,6 +290,7 @@ def _establishable_outers(seed: int, needed: int) -> tuple[list[Digraph], dict[s
     ]
     found = hits[: max(1, needed // 2)]
     scan_hits = list(found)
+    strong = frozenset({Constraint.STRONG_OUTER})
     attempt = 0
     while len(found) < needed and attempt < 100000:
         spec = GenSpec(
@@ -297,7 +298,7 @@ def _establishable_outers(seed: int, needed: int) -> tuple[list[Digraph], dict[s
             kind=Kind.SEMICOMPLETE,
             n=5 + attempt % 4,
             p2=0.2,
-            constraints=frozenset({Constraint.STRONG_OUTER}),
+            constraints=strong,
         )
         d = generate(spec)
         if not isinstance(d, Digraph):

@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Iterator
 
 from .composition import Composition, compose
-from .digraph import Digraph, build_digraph, classify_digraph
+from .digraph import Digraph, build_digraph, is_strong
 from .errors import GenerationError, PreconditionError
 
 MASK64 = (1 << 64) - 1
@@ -114,17 +114,35 @@ class GenSpec:
     constraints: frozenset[Constraint] = field(default_factory=frozenset)
 
 
+def _oriented(n: int, stream: SplitMix64, p2: float | None) -> Digraph:
+    """Each pair {i, j}, visited in ascending (i, j) order, gets both arcs
+    when p2 is given and `below(p2)` shows, else one arc oriented by a coin
+    (0 means i -> j). Arcs are ORed straight into the masks."""
+    below, coin = stream.below, stream.coin
+    out = [0] * n
+    inn = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if p2 is not None and below(p2):
+                out[i] |= 1 << j
+                inn[j] |= 1 << i
+                out[j] |= 1 << i
+                inn[i] |= 1 << j
+            elif coin() == 0:
+                out[i] |= 1 << j
+                inn[j] |= 1 << i
+            else:
+                out[j] |= 1 << i
+                inn[i] |= 1 << j
+    return Digraph(n, tuple(out), tuple(inn))
+
+
 def random_tournament(n: int, seed: int) -> Digraph:
     """Tournament on n vertices: each pair {i, j}, visited in ascending
     (i, j) order, is oriented i -> j when the coin shows 0."""
     if n < 1:
         raise PreconditionError(f"need n >= 1, got {n}")
-    stream = SplitMix64(seed)
-    arcs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            arcs.append((i, j) if stream.coin() == 0 else (j, i))
-    return build_digraph(n, arcs)
+    return _oriented(n, SplitMix64(seed), None)
 
 
 def random_semicomplete(n: int, seed: int, p2: float) -> Digraph:
@@ -135,16 +153,7 @@ def random_semicomplete(n: int, seed: int, p2: float) -> Digraph:
         raise PreconditionError(f"need n >= 1, got {n}")
     if not 0 <= p2 <= 1:
         raise PreconditionError(f"p2 must be in [0, 1], got {p2}")
-    stream = SplitMix64(seed)
-    arcs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if stream.below(p2):
-                arcs.append((i, j))
-                arcs.append((j, i))
-            else:
-                arcs.append((i, j) if stream.coin() == 0 else (j, i))
-    return build_digraph(n, arcs)
+    return _oriented(n, SplitMix64(seed), p2)
 
 
 def random_digraph(n: int, seed: int, p: float) -> Digraph:
@@ -154,26 +163,25 @@ def random_digraph(n: int, seed: int, p: float) -> Digraph:
         raise PreconditionError(f"need n >= 0, got {n}")
     if not 0 <= p <= 1:
         raise PreconditionError(f"p must be in [0, 1], got {p}")
-    stream = SplitMix64(seed)
-    arcs = []
+    below = SplitMix64(seed).below
+    out = [0] * n
+    inn = [0] * n
     for u in range(n):
         for v in range(n):
-            if u != v and stream.below(p):
-                arcs.append((u, v))
-    return build_digraph(n, arcs)
+            if u != v and below(p):
+                out[u] |= 1 << v
+                inn[v] |= 1 << u
+    return Digraph(n, tuple(out), tuple(inn))
 
 
 def _satisfies(d: Digraph, constraints: frozenset[Constraint]) -> bool:
-    if not constraints:
-        return True
-    cls = classify_digraph(d)
-    if Constraint.STRONG_OUTER in constraints and not cls.is_strong:
-        return False
-    if Constraint.NO_SINK_OUTER in constraints and cls.sinks:
-        return False
-    if Constraint.NO_SOURCE_OUTER in constraints and cls.sources:
-        return False
-    return True
+    """Whether d meets every constraint asked; only those are checked, and
+    strongness, the one that walks, last."""
+    return (
+        (Constraint.NO_SINK_OUTER not in constraints or all(d.out_masks))
+        and (Constraint.NO_SOURCE_OUTER not in constraints or all(d.in_masks))
+        and (Constraint.STRONG_OUTER not in constraints or is_strong(d))
+    )
 
 
 def _outer_for(spec: GenSpec, n: int, seed: int) -> Digraph:
@@ -262,14 +270,17 @@ def _all_orientations(n: int, states: int) -> Iterator[Digraph]:
         raise PreconditionError(f"need n >= 1, got {n}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for code in range(states ** len(pairs)):
-        arcs: list[tuple[int, int]] = []
+        out = [0] * n
+        inn = [0] * n
         for i, j in pairs:
             code, digit = divmod(code, states)
             if digit != 1:
-                arcs.append((i, j))
+                out[i] |= 1 << j
+                inn[j] |= 1 << i
             if digit != 0:
-                arcs.append((j, i))
-        yield build_digraph(n, arcs)
+                out[j] |= 1 << i
+                inn[i] |= 1 << j
+        yield Digraph(n, tuple(out), tuple(inn))
 
 
 def all_tournaments(n: int) -> Iterator[Digraph]:

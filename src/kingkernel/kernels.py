@@ -33,7 +33,7 @@ from .composition import (
     require_semicomplete_composition,
     require_strong_semicomplete_composition,
 )
-from .digraph import Digraph, _reach, build_digraph, classify_digraph
+from .digraph import Digraph, _is_semicomplete, _reach, build_digraph
 from .errors import PreconditionError, TheoremViolation
 
 DEFAULT_ORACLE_CAP = 16
@@ -146,12 +146,11 @@ def singleton_quasi_kernels(d: Digraph) -> frozenset[int]:
 
     A sink-free semicomplete digraph is guaranteed at least two such
     vertices; coming up short is a theorem violation."""
-    cls = classify_digraph(d)
-    if not cls.is_semicomplete:
+    if not _is_semicomplete(d):
         raise PreconditionError("digraph is not semicomplete")
     full = (1 << d.n) - 1
     found = frozenset(v for v in range(d.n) if _reach(d.in_masks, 1 << v, 2) == full)
-    if d.n > 0 and not cls.sinks and len(found) < 2:
+    if d.n > 0 and all(d.out_masks) and len(found) < 2:
         raise TheoremViolation(
             "sink-free semicomplete digraph with fewer than two singleton "
             "quasi-kernels",

@@ -25,13 +25,14 @@ from .composition import (
     require_strong_semicomplete_composition,
 )
 from .digraph import (
+    UNREACHABLE,
     Digraph,
     Dist,
     _check_vertex,
+    _is_semicomplete,
     _levels,
     _reach,
     build_digraph,
-    classify_digraph,
     min_cycle_length_through,
     out_eccentricities,
 )
@@ -216,13 +217,14 @@ def non_king_dominator_witness(c: Composition, u: int) -> int:
 def can_establish(t: Digraph) -> EstablishReport:
     """Eligibility of a strong semicomplete outer digraph for establishment:
     a strict 3-king exists and every 2-king has an in-neighbor among the
-    strict 3-kings. blocking_two_kings lists the 2-kings that fail."""
-    cls = classify_digraph(t)
-    if not (cls.is_semicomplete and cls.is_strong):
+    strict 3-kings. blocking_two_kings lists the 2-kings that fail. One
+    eccentricity pass answers it all: t is strong when no eccentricity is
+    UNREACHABLE, and the strict 3-kings and 2-kings are read from it."""
+    eccs = out_eccentricities(t) if _is_semicomplete(t) else [UNREACHABLE]
+    if UNREACHABLE in eccs:
         raise PreconditionError("digraph is not strong semicomplete")
-    three = k_kings(t, 3)
-    strict3 = three.strict
-    two = three.kings - strict3
+    strict3 = frozenset(v for v, e in enumerate(eccs) if e == 3)
+    two = frozenset(v for v, e in enumerate(eccs) if e <= 2)
     strict3_mask = sum(1 << v for v in strict3)
     blocking = frozenset(v for v in two if not t.in_masks[v] & strict3_mask)
     return EstablishReport(

@@ -17,6 +17,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):  # type: igno
 
 
 @pytest.fixture
+def walks(monkeypatch):
+    """A one-item list counting the BFS walks (`_levels` calls) started from
+    `kingkernel.digraph`, where every walk of the library but the outer king
+    walks of `kings.py` starts: work counted with no timing."""
+    import kingkernel.digraph
+
+    count = [0]
+    levels = kingkernel.digraph._levels
+
+    def counted(masks, frontier):
+        count[0] += 1
+        return levels(masks, frontier)
+
+    monkeypatch.setattr(kingkernel.digraph, "_levels", counted)
+    return count
+
+
+@pytest.fixture
 def three_cycle():
     from kingkernel import build_digraph
 

@@ -6,6 +6,7 @@ import pytest
 
 from kingkernel import (
     Constraint,
+    Digraph,
     GenSpec,
     GenerationError,
     Kind,
@@ -22,6 +23,7 @@ from kingkernel import (
     k_kings,
     mix64,
 )
+from kingkernel.experiments import _MIXED_KINDS, _SEMI_KINDS, _corpus_composition
 from kingkernel.fileformat import format_composition, format_digraph
 from kingkernel.gen import (
     all_semicomplete_digraphs,
@@ -31,15 +33,99 @@ from kingkernel.gen import (
     random_tournament,
     unique_three_king_fixture,
 )
+from hypothesis import given, settings, strategies as st
+
 from bruteforce import brute_components
 
 TOURNAMENT_5_42_SHA = "94fd33823740cb07680d0fcb483fd6d234ff69e4e2f4859e164d92896a8d684a"
 COMPOSITION_PIN_SHA = "2c51cf4d11cfb0dd5637681c67c54c0d99030afdfd6c4a2b3b8877bfaf1c869f"
 FIXTURE_SHA = "a01317217cbf9a5246cd7a7474bd5168092c35c3ab89edd41ef74c3a247a1969"
+# Batch pins: every instance, draw and output of the generators is fixed by
+# the PRNG contract, so these hashes must never move.
+TOURNAMENT_BATCH_SHA = "3654ad226aa3aa05de9135472a63c5fbb0b98e67152bb9450575eeae14ac0542"
+SEMICOMPLETE_BATCH_SHA = "201359e28b042a6a47e47140c4c1d959d3e75501e38b5a13877a67c8bd266f24"
+ERDOS_RENYI_BATCH_SHA = "b98f54f7c26151a60fbcbf86fe667b2f86a62f696e606de491c8819baedafd8e"
+ALL_TOURNAMENTS_5_SHA = "42d94a1e809051e72554e3b1a1eac352b5e8149316a9ebe5f37f5f95862d30e8"
+ALL_SEMICOMPLETE_4_SHA = "4d3090729ceeef58aa5467d59389760614a154355a9d1c4ffc9f86faffa9b623"
+CONSTRAINED_GENERATE_SHA = "eae377d956b6440cb5a038ade5ed3ec4feecd75e2797696208775cc3c4366d24"
+CORPUS_COMPOSITION_SHA = "b08b28226eda7a3907369675b807daf4643486a4e828690957c757f97dab6595"
+
+# every subset of the outer constraints, the empty one included
+CONSTRAINT_SETS = [
+    frozenset(c for bit, c in enumerate(Constraint) if mask >> bit & 1)
+    for mask in range(1 << len(Constraint))
+]
 
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def tournament_batch() -> str:
+    return "".join(
+        format_digraph(random_tournament(n, seed))
+        for seed in range(12)
+        for n in (1, 2, 5, 9)
+    )
+
+
+def semicomplete_batch() -> str:
+    return "".join(
+        format_digraph(random_semicomplete(n, seed, p2))
+        for seed in range(12)
+        for n in (1, 3, 7)
+        for p2 in (0.0, 0.3, 1.0)
+    )
+
+
+def erdos_renyi_batch() -> str:
+    return "".join(
+        format_digraph(random_digraph(n, seed, p))
+        for seed in range(12)
+        for n in (0, 1, 4, 8)
+        for p in (0.0, 0.2, 0.5, 1.0)
+    )
+
+
+def constrained_generate_batch() -> str:
+    """Plain digraphs of every kind and compositions, under every constraint
+    set, so the rejection loops and their screening are pinned too."""
+    out = []
+    for constraints in CONSTRAINT_SETS:
+        for seed in range(4):
+            for kind in (Kind.TOURNAMENT, Kind.SEMICOMPLETE, Kind.ERDOS_RENYI):
+                for n in (3, 6):
+                    spec = GenSpec(seed=seed, kind=kind, n=n, constraints=constraints)
+                    out.append(format_digraph(generate(spec)))
+            spec = GenSpec(
+                seed=seed,
+                kind=Kind.COMPOSITION,
+                t=4,
+                size_min=1,
+                size_max=3,
+                constraints=constraints,
+            )
+            out.append(format_composition(generate(spec)))
+    return "".join(out)
+
+
+def corpus_composition_batch() -> str:
+    strong = frozenset({Constraint.STRONG_OUTER})
+    sink_free = frozenset({Constraint.NO_SINK_OUTER})
+    return "".join(
+        format_composition(_corpus_composition(seed, idx, kinds, constraints=constraints))
+        for seed in (1, 20260817)
+        for idx in range(24)
+        for kinds, constraints in (
+            (_MIXED_KINDS, frozenset()),
+            (_SEMI_KINDS, strong),
+            (_SEMI_KINDS, sink_free),
+        )
+    )
+
+
+def rebuilt(d: Digraph) -> Digraph:
+    return build_digraph(d.n, list(d.arcs()))
 
 
 class TestStream:
@@ -101,6 +187,29 @@ class TestRandomDigraphs:
         assert random_digraph(5, 3, 1.0).arc_count == 20
 
 
+    def test_batches_are_pinned(self):
+        assert sha(tournament_batch()) == TOURNAMENT_BATCH_SHA
+        assert sha(semicomplete_batch()) == SEMICOMPLETE_BATCH_SHA
+        assert sha(erdos_renyi_batch()) == ERDOS_RENYI_BATCH_SHA
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sampled_from(["tournament", "semicomplete", "erdos-renyi"]),
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 9),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    )
+    def test_generated_masks_are_the_checked_build(self, kind, seed, n, p):
+        # the generators fill the masks without build_digraph's checks, so
+        # they must equal what the checked constructor makes of their arcs
+        d = {
+            "tournament": lambda: random_tournament(n, seed),
+            "semicomplete": lambda: random_semicomplete(n, seed, p),
+            "erdos-renyi": lambda: random_digraph(n, seed, p),
+        }[kind]()
+        assert d == rebuilt(d)
+
+
 class TestGenerate:
     def test_equal_specs_give_equal_instances(self):
         spec = GenSpec(seed=11, kind=Kind.SEMICOMPLETE, n=6, p2=0.3)
@@ -149,6 +258,33 @@ class TestGenerate:
         assert sha(format_composition(c)) == COMPOSITION_PIN_SHA
         assert is_strong(c.outer)
 
+    def test_constrained_instances_are_pinned(self):
+        assert sha(constrained_generate_batch()) == CONSTRAINED_GENERATE_SHA
+
+    def test_corpus_compositions_are_pinned(self):
+        assert sha(corpus_composition_batch()) == CORPUS_COMPOSITION_SHA
+
+    @pytest.mark.parametrize("constraints", CONSTRAINT_SETS, ids=str)
+    def test_constrained_instances_satisfy_their_constraints(self, constraints):
+        for seed in range(6):
+            d = generate(GenSpec(seed=seed, kind=Kind.ERDOS_RENYI, n=5, constraints=constraints))
+            cls = classify_digraph(d)
+            assert cls.is_strong or Constraint.STRONG_OUTER not in constraints
+            assert not cls.sinks or Constraint.NO_SINK_OUTER not in constraints
+            assert not cls.sources or Constraint.NO_SOURCE_OUTER not in constraints
+
+    def test_sink_free_screening_walks_nothing(self, walks):
+        # a constraint that is a mask test must not pay for a strongness walk
+        spec = GenSpec(
+            seed=3,
+            kind=Kind.ERDOS_RENYI,
+            n=6,
+            p=0.3,
+            constraints=frozenset({Constraint.NO_SINK_OUTER}),
+        )
+        generate(spec)
+        assert walks[0] == 0
+
     def test_plain_kind_requires_n(self):
         with pytest.raises(PreconditionError):
             generate(GenSpec(seed=1, kind=Kind.TOURNAMENT))
@@ -160,6 +296,17 @@ class TestExhaustiveEnumerators:
         assert len(ts) == 8
         assert len(set(ts)) == 8
         assert all(classify_digraph(t).is_tournament for t in ts)
+
+    def test_enumerations_are_pinned(self):
+        assert sha("".join(map(format_digraph, all_tournaments(5)))) == ALL_TOURNAMENTS_5_SHA
+        assert (
+            sha("".join(map(format_digraph, all_semicomplete_digraphs(4))))
+            == ALL_SEMICOMPLETE_4_SHA
+        )
+
+    def test_enumerated_masks_are_the_checked_build(self):
+        for d in [*all_tournaments(4), *all_semicomplete_digraphs(4)]:
+            assert d == rebuilt(d)
 
     def test_semicomplete_count(self):
         ds = list(all_semicomplete_digraphs(2))

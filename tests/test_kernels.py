@@ -101,6 +101,12 @@ class TestSingletonQuasiKernels:
         with pytest.raises(PreconditionError):
             singleton_quasi_kernels(build_digraph(2, []))
 
+    @pytest.mark.parametrize("d", [cycle(3), build_digraph(3, [(0, 1), (0, 2), (1, 2)])])
+    def test_one_walk_per_vertex(self, d, walks):
+        # the sink-free test reads the out-masks; it walks nothing
+        singleton_quasi_kernels(d)
+        assert walks[0] == d.n
+
 
 class TestDisjointQuasiKernels:
     def test_digon_outer_with_singletons(self):

@@ -239,6 +239,14 @@ class TestEstablish:
         with pytest.raises(PreconditionError):
             can_establish(build_digraph(3, TRANSITIVE))
 
+    @pytest.mark.parametrize(
+        "t", [build_digraph(4, STRONG_FOUR), build_digraph(6, ESTABLISHABLE_SIX)]
+    )
+    def test_one_walk_per_vertex(self, t, walks):
+        # one eccentricity pass answers strongness and both king sets
+        can_establish(t)
+        assert walks[0] == t.n
+
     def test_known_eligible_tournament(self):
         report = can_establish(build_digraph(6, ESTABLISHABLE_SIX))
         assert report.ok
