@@ -18,6 +18,11 @@ generation splits one stream per role: labels (attempt, 0) size the factors,
 (attempt, 1) drive the outer digraph, (attempt, 2 + i) drive factor i. Equal
 seeds therefore reproduce instances bit-for-bit, and any implementation of
 SplitMix64 plus these rules reproduces them cross-language.
+
+The generators OR each drawn arc straight into the out- and in-masks of
+the `Digraph` they return; no arc list is built and nothing is re-checked.
+That is how they store an instance, not what they draw: the draws and
+their order are the rules above.
 """
 
 from __future__ import annotations
@@ -115,23 +120,20 @@ class GenSpec:
 
 
 def _oriented(n: int, stream: SplitMix64, p2: float | None) -> Digraph:
-    """Each pair {i, j}, visited in ascending (i, j) order, gets both arcs
-    when p2 is given and `below(p2)` shows, else one arc oriented by a coin
-    (0 means i -> j). Arcs are ORed straight into the masks."""
+    """Each pair {i, j}, visited in ascending (i, j) order, takes a digit as
+    in `_all_orientations`: 2 (both arcs) when p2 is given and `below(p2)`
+    shows, else a coin, 0 for i -> j and 1 for j -> i. Arcs are ORed
+    straight into the masks."""
     below, coin = stream.below, stream.coin
     out = [0] * n
     inn = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if p2 is not None and below(p2):
+            digit = 2 if p2 is not None and below(p2) else coin()
+            if digit != 1:
                 out[i] |= 1 << j
                 inn[j] |= 1 << i
-                out[j] |= 1 << i
-                inn[i] |= 1 << j
-            elif coin() == 0:
-                out[i] |= 1 << j
-                inn[j] |= 1 << i
-            else:
+            if digit != 0:
                 out[j] |= 1 << i
                 inn[i] |= 1 << j
     return Digraph(n, tuple(out), tuple(inn))
