@@ -6,8 +6,10 @@ bidirected edges are modelled.
 
 A digraph is stored as its adjacency masks and nothing else: Python ints
 where bit v of out_masks[u], and bit u of in_masks[v], is set iff u -> v.
-`build_digraph` ORs them together once from an arc list (and
-`composition.flatten` from block masks); every query reads them.
+`build_digraph` ORs them together once from an arc list, checking every
+arc; `composition.flatten` builds them from block masks, and the seeded
+generators and exhaustive enumerators of `gen` OR each drawn arc straight
+into them. Every query reads them.
 
 Every distance question runs on one bitset BFS core. `_levels` expands a
 frontier mask one level at a time by OR-ing the masks of its vertices, and
